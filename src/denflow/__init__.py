@@ -17,7 +17,6 @@ from .geodesic import (
 )
 from .linalg import (
     BranchAmbiguityError,
-    EigenConvergenceError,
     EigenDecomposition,
     commutator,
     eig_hermitian,
@@ -52,7 +51,6 @@ __all__ = [
     "BranchAmbiguityError",
     "CostBreakdown",
     "DiscretePath",
-    "EigenConvergenceError",
     "EigenDecomposition",
     "GeodesicSolution",
     "InfeasibleError",

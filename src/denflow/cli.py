@@ -438,8 +438,7 @@ def _add_endpoint_flags(sub):
     sub.add_argument("--samples", type=int, default=21,
                      help="number of path samples (default 21)")
     sub.add_argument("--max-enum", type=int, default=None, dest="max_enum",
-                     help="exhaustive spectral-matching cap (default 7, "
-                          "or DENFLOW_MAX_ENUM)")
+                     help="exhaustive spectral-matching cap (default 7)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="sampled-path format (default csv)")
     sub.add_argument("--glyphs", action="store_true",
@@ -500,8 +499,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_z_value(argv):
+    """Rewrite '--z VALUE' as '--z=VALUE'.  argparse takes a token that
+    starts with '-' and is not a plain number, such as '-0.1,0.05', for an
+    option; attached, it is read as the value."""
+    out = list(argv)
+    for i in range(len(out) - 1):
+        if out[i] == "--z":
+            out[i : i + 2] = [f"--z={out[i + 1]}"]
+            break
+    return out
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = build_parser().parse_args(_attach_z_value(sys.argv[1:] if argv is None else argv))
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     log.handlers[:] = [handler]

@@ -20,7 +20,6 @@ rho0, so minimality is within that family.
 from __future__ import annotations
 
 import itertools
-import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,9 +29,10 @@ from scipy.optimize import golden, linear_sum_assignment
 
 from .linalg import (
     BranchAmbiguityError,
+    dagger,
     degeneracy_groups,
     eig_hermitian,
-    expm_skew,
+    expm_skew_times,
     frob_norm,
     hermitian_part,
     is_hermitian,
@@ -72,25 +72,16 @@ class GeodesicSolution:
     cost_total: float
 
 
-def _log_norm(Q: np.ndarray) -> float:
-    """||log Q||_F for unitary Q, via |phase| = arccos of cosine eigenvalues.
+def _log_norm(Q: np.ndarray):
+    """||log Q||_F for a unitary Q, or for each of a stack, via |phase| =
+    arccos of the cosine eigenvalues.
 
     Only phase magnitudes enter the norm, so the Hermitian part of Q
-    suffices; no branch bookkeeping is needed.  This scoring helper runs
-    inside the gauge search's hot loop, so it uses LAPACK eigenvalues
-    directly; the returned generator itself still goes through the
-    package's own logm_unitary.  Absolute accuracy degrades to ~sqrt(eps)
-    for phases near zero (arccos near 1), which only matters below any
-    tolerance used here.
+    suffices; no branch bookkeeping is needed.  Absolute accuracy degrades
+    to ~sqrt(eps) for phases near zero (arccos near 1), which only matters
+    below any tolerance used here.
     """
     c = np.linalg.eigvalsh(hermitian_part(Q))
-    return float(np.sqrt(np.sum(np.arccos(np.clip(c, -1.0, 1.0)) ** 2)))
-
-
-def _log_norms(Qs: np.ndarray) -> np.ndarray:
-    """Batched _log_norm over a stack of unitaries."""
-    H = (Qs + np.conj(np.swapaxes(Qs, -1, -2))) / 2
-    c = np.linalg.eigvalsh(H)
     return np.sqrt((np.arccos(np.clip(c, -1.0, 1.0)) ** 2).sum(axis=-1))
 
 
@@ -167,7 +158,7 @@ def _gauge_search(
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
         cands = np.zeros((len(signs), n, n), dtype=complex)
         cands[:, np.arange(n), np.arange(n)] = signs
-        costs = _log_norms(U1[None] @ cands @ U0pH[None])
+        costs = _log_norm(U1 @ cands @ U0pH)
         # first strict minimum keeps the enumeration-order tie-break
         j = int(np.argmin(costs))
         starts.append(cands[j])
@@ -181,7 +172,7 @@ def _gauge_search(
             for coord in coords:
                 f = lambda a: cost_of(_apply_gauge(Theta, coord, a))
                 cands = np.stack([_apply_gauge(Theta, coord, a) for a in _GRID])
-                vals = _log_norms(U1[None] @ cands @ U0pH[None])
+                vals = _log_norm(U1 @ cands @ U0pH)
                 j = int(np.argmin(vals))
                 h = _GRID[1] - _GRID[0]
                 xmin, fmin, _ = golden(
@@ -256,9 +247,8 @@ def solve_geodesic(
 
     Endpoints must be Hermitian PSD with equal traces (a commuting
     traceless drift cannot change the trace).  ``max_enum`` caps exhaustive
-    eigenvalue-matching enumeration (default 7, overridable through the
-    DENFLOW_MAX_ENUM environment variable); larger problems fall back to an
-    assignment seed refined by 2-swap local search.  Ties are broken by
+    eigenvalue-matching enumeration (default 7); larger problems fall back
+    to an assignment seed refined by 2-swap local search.  Ties are broken by
     matching enumeration order, preferring smaller ||Z|| at equal cost.
     """
     rho0 = np.asarray(rho0, dtype=complex)
@@ -273,10 +263,10 @@ def solve_geodesic(
             f"traces differ ({tr0:.12g} vs {tr1:.12g}); "
             "equal trace is required for a commuting-drift path"
         )
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if max_enum is None:
-        max_enum = int(os.environ.get("DENFLOW_MAX_ENUM", 7))
+        max_enum = 7
 
     n = rho0.shape[0]
     lam, U0 = eig_hermitian(rho0)
@@ -350,18 +340,12 @@ def eval_path(sol: GeodesicSolution, rho0: np.ndarray, t: float) -> np.ndarray:
             f"t={t} outside [0, 1]: extrapolated eigenvalues may go negative",
             stacklevel=2,
         )
-    U = expm_skew(sol.X * t)
-    return hermitian_part(U @ (np.asarray(rho0, dtype=complex) + sol.Z * t) @ U.conj().T)
+    return sample_path(sol, rho0, [t])[0]
 
 
 def sample_path(sol: GeodesicSolution, rho0: np.ndarray, times) -> np.ndarray:
     """Path evaluated at many times from a single eigendecomposition of X."""
     ts = np.asarray(times, dtype=float)
-    theta, W = eig_hermitian(-1j * sol.X)
-    WH = W.conj().T
-    rho0 = np.asarray(rho0, dtype=complex)
-    out = np.empty((len(ts), *rho0.shape), dtype=complex)
-    for i, t in enumerate(ts):
-        U = (W * np.exp(1j * theta * t)) @ WH
-        out[i] = hermitian_part(U @ (rho0 + sol.Z * t) @ U.conj().T)
-    return out
+    U = expm_skew_times(sol.X, ts)
+    core = np.asarray(rho0, dtype=complex) + sol.Z * ts[:, None, None]
+    return hermitian_part(U @ core @ dagger(U))

@@ -1,11 +1,14 @@
 """Dense complex linear algebra kernels for small Hermitian/unitary matrices.
 
-Everything here is self-contained (no LAPACK): a cyclic complex Jacobi
-eigensolver for Hermitian matrices, the exponential of skew-Hermitian
-matrices, the principal logarithm of unitary matrices, commutators and the
-Frobenius (trace) inner product.  Matrices are plain ``numpy`` arrays of
-``complex`` dtype; targeted sizes are n ~ 2..10, where Jacobi is simple,
-accurate and deterministic.
+Each kernel is written once.  The eigendecomposition of a single Hermitian
+matrix takes a closed form at 2x2 and LAPACK (``numpy.linalg.eigh``) above,
+with every eigenvector phase-fixed so the basis is reproducible bit for
+bit.  The exponential of skew-Hermitian matrices, the propagators e^{Xt}
+over many times, the Hermitian/skew parts and the degeneracy grouping of
+eigenvalues accept single matrices and ``(..., n, n)`` stacks alike.  The
+principal logarithm of unitary matrices, commutators and the Frobenius
+(trace) inner product complete the set.  Matrices are plain ``numpy``
+arrays of ``complex`` dtype; targeted sizes are n ~ 2..10.
 """
 
 from __future__ import annotations
@@ -13,18 +16,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps did not reduce the off-diagonal below tolerance."""
-
-    def __init__(self, offdiag: float, sweeps: int):
-        super().__init__(
-            f"eigensolver did not converge after {sweeps} sweeps "
-            f"(off-diagonal residual {offdiag:.3e})"
-        )
-        self.offdiag = offdiag
-        self.sweeps = sweeps
 
 
 class BranchAmbiguityError(ValueError):
@@ -46,16 +37,21 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
+def dagger(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(np.conj(A), -1, -2)
+
+
 def hermitian_part(A: np.ndarray) -> np.ndarray:
-    """Return (A + A*)/2."""
+    """Return (A + A*)/2, matrixwise over stacks."""
     A = np.asarray(A, dtype=complex)
-    return (A + A.conj().T) / 2
+    return (A + dagger(A)) / 2
 
 
 def skew_part(A: np.ndarray) -> np.ndarray:
-    """Return (A - A*)/2."""
+    """Return (A - A*)/2, matrixwise over stacks."""
     A = np.asarray(A, dtype=complex)
-    return (A - A.conj().T) / 2
+    return (A - dagger(A)) / 2
 
 
 def is_hermitian(A: np.ndarray, tol: float = 1e-12) -> bool:
@@ -135,16 +131,14 @@ def _eig2(A: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(np.array([lo, hi]), V)
 
 
-def eig_hermitian(
-    A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
+def eig_hermitian(A: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of one Hermitian matrix, reproducible bit for bit.
 
-    The input is symmetrized first.  Sweeps stop when the off-diagonal
-    Frobenius mass falls below ``tol * ||A||_F``.  Eigenvalues are returned
-    ascending; ties are resolved deterministically and each eigenvector is
-    phase-fixed (largest-magnitude component real positive), so the result
-    is reproducible bit-for-bit for a fixed input.
+    The input is symmetrized first.  A 2x2 takes the closed form; larger
+    matrices go to LAPACK (``numpy.linalg.eigh``).  Eigenvalues are returned
+    ascending and each eigenvector is phase-fixed (largest-magnitude
+    component real positive), so the basis is a deterministic function of
+    the input.
     """
     A = hermitian_part(A)
     n = A.shape[0]
@@ -154,66 +148,36 @@ def eig_hermitian(
         return EigenDecomposition(A.real.diagonal().copy(), np.eye(1, dtype=complex))
     if n == 2:
         return _eig2(A)
-
-    work = A.copy()
-    V = np.eye(n, dtype=complex)
-    norm = frob_norm(work)
-    if norm == 0.0:
-        return EigenDecomposition(np.zeros(n), V)
-    thresh = tol * norm
-    skip = thresh / (2.0 * n)
-
-    off = _offdiag_norm(work)
-    sweeps = 0
-    while off > thresh:
-        if sweeps >= max_sweeps:
-            raise EigenConvergenceError(off, sweeps)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= skip:
-                    continue
-                u = _jacobi_rotation(work[p, p].real, work[q, q].real, apq)
-                work[:, [p, q]] = work[:, [p, q]] @ u
-                work[[p, q], :] = u.conj().T @ work[[p, q], :]
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                V[:, [p, q]] = V[:, [p, q]] @ u
-        sweeps += 1
-        off = _offdiag_norm(work)
-
-    values = work.real.diagonal().copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], _phase_fix(V[:, order]))
+    values, vectors = np.linalg.eigh(A)
+    return EigenDecomposition(values, _phase_fix(vectors))
 
 
-def _offdiag_norm(A: np.ndarray) -> float:
-    off = A - np.diag(A.diagonal())
-    return float(np.linalg.norm(off))
+def _exp_i(theta: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """W diag(e^{i theta}) W* for theta (..., n) and W (..., n, n)."""
+    return (W * np.exp(1j * theta)[..., None, :]) @ dagger(W)
 
 
-def _jacobi_rotation(app: float, aqq: float, apq: complex) -> np.ndarray:
-    """2x2 unitary zeroing the (p,q) entry of a Hermitian pair."""
-    absa = abs(apq)
-    phi = apq / absa
-    tau = (aqq - app) / (2.0 * absa)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    # dephase then rotate: u = diag(1, conj(phi)) @ [[c, s], [-s, c]]
-    return np.array([[c, s], [-s * phi.conjugate(), c * phi.conjugate()]])
+def _eig_for_exp(H: np.ndarray):
+    """Eigenpairs of a Hermitian matrix or stack, for basis-free results.
+
+    A single 2x2 takes the closed form, which keeps ``synth`` output and
+    2x2 sampled paths bit-stable; everything else goes to LAPACK.  No
+    phase fix: an exponential does not depend on the eigenbasis.
+    """
+    return _eig2(hermitian_part(H)) if H.shape == (2, 2) else np.linalg.eigh(H)
 
 
 def expm_skew(X: np.ndarray) -> np.ndarray:
-    """exp(X) for skew-Hermitian X, via the Hermitian eigenproblem of -iX."""
-    X = np.asarray(X, dtype=complex)
-    theta, W = eig_hermitian(-1j * X)
-    return (W * np.exp(1j * theta)) @ W.conj().T
+    """exp(X) for a skew-Hermitian X or a (..., n, n) stack of them, via
+    the Hermitian eigenproblem of -iX."""
+    return _exp_i(*_eig_for_exp(-1j * np.asarray(X, dtype=complex)))
+
+
+def expm_skew_times(X: np.ndarray, times) -> np.ndarray:
+    """Propagators e^{Xt}, shape (len(times), n, n), from one
+    eigendecomposition of -iX."""
+    theta, W = _eig_for_exp(-1j * np.asarray(X, dtype=complex))
+    return _exp_i(theta * np.asarray(times, dtype=float)[:, None], W)
 
 
 def eig_unitary(Q: np.ndarray, cluster_tol: float = 1e-6) -> EigenDecomposition:
@@ -265,13 +229,12 @@ def logm_unitary(Q: np.ndarray, branch_tol: float = 1e-8) -> np.ndarray:
 
 
 def degeneracy_groups(values: np.ndarray, degeneracy_tol: float = 1e-8) -> np.ndarray:
-    """Cluster labels for ascending values, chaining gaps below tol*max|values|."""
+    """Cluster labels for ascending values along the last axis, chaining
+    gaps below tol*max|values|."""
     values = np.asarray(values, dtype=float)
-    thresh = degeneracy_tol * np.max(np.abs(values), initial=0.0)
-    labels = np.zeros(len(values), dtype=int)
-    for k in range(1, len(values)):
-        same = values[k] - values[k - 1] <= thresh
-        labels[k] = labels[k - 1] + (0 if same else 1)
+    thresh = degeneracy_tol * np.max(np.abs(values), axis=-1, keepdims=True, initial=0.0)
+    labels = np.zeros(values.shape, dtype=int)
+    labels[..., 1:] = np.cumsum(np.diff(values, axis=-1) > thresh, axis=-1)
     return labels
 
 

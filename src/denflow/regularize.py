@@ -25,9 +25,11 @@ import numpy as np
 from .linalg import (
     BranchAmbiguityError,
     _phase_fix,
+    dagger,
     eig_hermitian,
     expm_skew,
-    frob_norm,
+    expm_skew_times,
+    hermitian_part,
     is_hermitian,
     logm_unitary,
     skew_to_vec,
@@ -85,13 +87,14 @@ def _check_samples(samples, minimum: int = 1):
 def model_path(model: RegularizedModel, times) -> np.ndarray:
     """Model states e^{Xt} V diag(p + z t) V* e^{-Xt} at the given times."""
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    theta, W = eig_hermitian(-1j * model.X)
-    phases = np.exp(1j * np.outer(ts, theta))  # (T, n)
-    props = np.einsum("ik,tk,jk->tij", W, phases, W.conj())
-    lam = model.p[None, :] + np.outer(ts, model.z)
-    core = np.einsum("ik,tk,jk->tij", model.V, lam, model.V.conj())
-    out = props @ core @ np.conj(np.swapaxes(props, 1, 2))
-    return (out + np.conj(np.swapaxes(out, 1, 2))) / 2
+    return hermitian_part(_flow(expm_skew_times(model.X, ts), model.V, model.p, model.z, ts))
+
+
+def _flow(props, V, p, z, ts):
+    """States props_i V diag(p + z t_i) V* props_i*, given props_i = e^{X t_i}."""
+    lam = p[None, :] + np.outer(ts, z)
+    core = np.einsum("ik,tk,jk->tij", V, lam, V.conj())
+    return props @ core @ dagger(props)
 
 
 def residual(model: RegularizedModel, samples, squared: bool = False) -> float:
@@ -201,15 +204,10 @@ class _Objective:
         self.n = vals.shape[1]
 
     def props(self, X):
-        theta, W = np.linalg.eigh(-1j * X)
-        phases = np.exp(1j * np.outer(self.ts, theta))
-        return np.einsum("ik,tk,jk->tij", W, phases, W.conj())
+        return expm_skew_times(X, self.ts)
 
     def value(self, V, p, z, props):
-        lam = p[None, :] + np.outer(self.ts, z)
-        core = np.einsum("ik,tk,jk->tij", V, lam, V.conj())
-        M = props @ core @ np.conj(np.swapaxes(props, 1, 2))
-        r = np.linalg.norm(M - self.vals, axis=(1, 2))
+        r = np.linalg.norm(_flow(props, V, p, z, self.ts) - self.vals, axis=(1, 2))
         if self.squared:
             return float((r * r).sum())
         return float((np.sqrt(r * r + _DELTA * _DELTA) - _DELTA).sum())

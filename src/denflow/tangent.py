@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     commutator,
+    dagger,
     degeneracy_groups,
     eig_hermitian,
     expm_skew,
@@ -61,23 +62,17 @@ def split_tangent(
     if not is_hermitian(T):
         raise ValueError("tangent direction must be Hermitian")
 
-    n = rho.shape[0]
     lam, V = eig_hermitian(rho)
-    Tp = V.conj().T @ T @ V
+    Tp = dagger(V) @ T @ V
     labels = degeneracy_groups(lam, degeneracy_tol)
-    same = labels[:, None] == labels[None, :]
-
     gaps = lam[None, :] - lam[:, None]
     Xp = np.zeros_like(Tp)
-    np.divide(Tp, gaps, out=Xp, where=~same)
-    up = np.where(same, Tp, 0.0)
+    np.divide(Tp, gaps, out=Xp, where=labels[:, None] != labels[None, :])
 
-    X = skew_part(V @ Xp @ V.conj().T)
-    u = hermitian_part(V @ up @ V.conj().T)
-    tr = float(np.trace(T).real)
-    u -= (tr / n) * np.eye(n)
+    X = skew_part(V @ Xp @ dagger(V))
+    u = project_commutant_eig(lam, V, T, degeneracy_tol)
     rot = hermitian_part(commutator(X, rho))
-    return TangentSplit(X=X, rot=rot, u=u, trace=tr)
+    return TangentSplit(X=X, rot=rot, u=u, trace=float(np.trace(T).real))
 
 
 def project_commutant(
@@ -93,14 +88,27 @@ def project_commutant(
     if not is_hermitian(T):
         raise ValueError("tangent direction must be Hermitian")
 
-    n = rho.shape[0]
     lam, V = eig_hermitian(rho)
-    Tp = V.conj().T @ T @ V
-    labels = degeneracy_groups(lam, degeneracy_tol)
-    same = labels[:, None] == labels[None, :]
-    up = np.where(same, Tp, 0.0)
-    u = hermitian_part(V @ up @ V.conj().T)
-    return u - (np.trace(u).real / n) * np.eye(n)
+    return project_commutant_eig(lam, V, T, degeneracy_tol)
+
+
+def project_commutant_eig(
+    values: np.ndarray, vectors: np.ndarray, T: np.ndarray, degeneracy_tol: float = 1e-8
+) -> np.ndarray:
+    """Commutant projection at a state given by its eigendecomposition.
+
+    ``values`` (..., n) ascending and ``vectors`` (..., n, n) describe one
+    state or a stack of states; T is one Hermitian direction or a stack,
+    broadcast against them.  In the eigenbasis the projection keeps the
+    entries within each degenerate block, then removes the trace.
+    """
+    Tp = dagger(vectors) @ T @ vectors
+    labels = degeneracy_groups(values, degeneracy_tol)
+    up = np.where(labels[..., :, None] == labels[..., None, :], Tp, 0.0)
+    n = up.shape[-1]
+    diag = np.arange(n)
+    up[..., diag, diag] -= np.trace(up, axis1=-2, axis2=-1)[..., None].real / n
+    return hermitian_part(vectors @ up @ dagger(vectors))
 
 
 def rotation_flow(rho0: np.ndarray, X: np.ndarray, t: float) -> np.ndarray:

@@ -9,10 +9,10 @@ differences on the raw per-step controls.
 
 The descent engine batches the finite-difference trajectories: perturbing
 a control at step k leaves states 0..k untouched, so only the suffix is
-re-propagated, for all of step k's parameters at once.  The engine scores
-with LAPACK eigenvalues for speed; the returned path is rebuilt through
-the canonical step()/project_commutant route, so the stored path satisfies
-the construction invariants exactly.
+re-propagated, for all of step k's parameters at once.  The returned path
+is the engine's own final trajectory: its states, projected controls and
+endpoint residual come from the same simulation that decides convergence,
+and step() applied to the stored controls reproduces the stored states.
 """
 
 from __future__ import annotations
@@ -22,8 +22,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geodesic import solve_geodesic
-from .linalg import expm_skew, frob_norm, herm_to_vec, skew_to_vec, vec_to_herm, vec_to_skew
-from .tangent import project_commutant
+from .linalg import (
+    dagger,
+    expm_skew,
+    expm_skew_times,
+    frob_norm,
+    herm_to_vec,
+    hermitian_part,
+    skew_to_vec,
+    vec_to_herm,
+    vec_to_skew,
+)
+from .tangent import project_commutant, project_commutant_eig
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,7 @@ def step(
     u_used = project_commutant(rho, u_raw)
     E = expm_skew(np.asarray(X, dtype=complex) * dt)
     rho_next = E @ (np.asarray(rho, dtype=complex) + u_used * dt) @ E.conj().T
-    return (rho_next + rho_next.conj().T) / 2, u_used
+    return hermitian_part(rho_next), u_used
 
 
 def discrete_cost(path: DiscretePath, epsilon: float) -> float:
@@ -64,41 +74,11 @@ def discrete_cost(path: DiscretePath, epsilon: float) -> float:
     return float((xs + epsilon * us).sum() * path.dt)
 
 
-# --- fast internal evaluation (LAPACK-based, batched over trajectories) ---
+# --- descent engine (batched over finite-difference trajectories) ---
 
 
 def _smooth(x: np.ndarray, delta: float) -> np.ndarray:
     return np.sqrt(x * x + delta * delta) - delta
-
-
-def _batch_project(vals, vecs, T, degeneracy_tol):
-    """Commutant projection of T at each state of a batch.
-
-    vals/vecs: (B, n) and (B, n, n) eigendecompositions; T: (B, n, n) or
-    (n, n) raw Hermitian controls.  Mirrors tangent.project_commutant.
-    """
-    B, n = vals.shape
-    if T.ndim == 2:
-        T = np.broadcast_to(T, (B, n, n))
-    vecsH = np.conj(np.swapaxes(vecs, 1, 2))
-    Tp = vecsH @ T @ vecs
-    thresh = degeneracy_tol * np.abs(vals).max(axis=1, keepdims=True)
-    labels = np.zeros((B, n), dtype=int)
-    if n > 1:
-        labels[:, 1:] = np.cumsum(np.diff(vals, axis=1) > thresh, axis=1)
-    mask = labels[:, :, None] == labels[:, None, :]
-    up = np.where(mask, Tp, 0.0)
-    tr = np.einsum("bii->b", up).real / n
-    up[:, np.arange(n), np.arange(n)] -= tr[:, None]
-    u = vecs @ up @ vecsH
-    return (u + np.conj(np.swapaxes(u, 1, 2))) / 2
-
-
-def _expm_batch(Xs, dt):
-    """e^{X dt} for a batch of skew-Hermitian generators, via eigh of -iX."""
-    w, V = np.linalg.eigh(-1j * np.asarray(Xs))
-    phase = np.exp(1j * w * dt)
-    return (V * phase[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2))
 
 
 class _Engine:
@@ -117,40 +97,48 @@ class _Engine:
         self.dtol = degeneracy_tol
 
     def simulate(self, Xs, u_raws):
-        """Propagate the whole path; returns everything the gradient reuses."""
+        """Propagate the whole path; returns everything the gradient reuses.
+
+        Penalties are stored unweighted, so one trajectory stays valid
+        while continuation raises the weights.
+        """
         N, n = self.N, self.n
         states = np.empty((N + 1, n, n), dtype=complex)
         u_useds = np.empty((N, n, n), dtype=complex)
         states[0] = self.rho0
-        props = _expm_batch(Xs, self.dt)
+        props = expm_skew(Xs * self.dt)
         vals = np.empty((N + 1, n))
         vecs = np.empty((N + 1, n, n), dtype=complex)
         vals[0], vecs[0] = np.linalg.eigh(self.rho0)
         for k in range(N):
-            u = _batch_project(vals[k : k + 1], vecs[k : k + 1], u_raws[k][None], self.dtol)[0]
+            u = project_commutant_eig(vals[k], vecs[k], u_raws[k], self.dtol)
             u_useds[k] = u
-            nxt = props[k] @ (states[k] + u * self.dt) @ props[k].conj().T
-            states[k + 1] = (nxt + nxt.conj().T) / 2
+            states[k + 1] = hermitian_part(props[k] @ (states[k] + u * self.dt) @ dagger(props[k]))
             vals[k + 1], vecs[k + 1] = np.linalg.eigh(states[k + 1])
         xnorm = np.linalg.norm(Xs, axis=(1, 2))
         unorm = np.linalg.norm(u_useds, axis=(1, 2))
         cost_terms = (_smooth(xnorm, self.delta) + self.eps * _smooth(unorm, self.delta)) * self.dt
-        pens = self.w_pos * np.minimum(vals[1:, 0], 0.0) ** 2  # states 1..N
-        end = self.w_end * frob_norm(states[N] - self.rho1) ** 2
+        residual = frob_norm(states[N] - self.rho1)
         return {
             "states": states, "vals": vals, "vecs": vecs, "props": props,
-            "u_useds": u_useds, "cost_terms": cost_terms, "pens": pens, "end": end,
+            "u_useds": u_useds, "cost_terms": cost_terms,
+            "negs": np.minimum(vals[1:, 0], 0.0) ** 2,  # states 1..N
+            "residual": residual,
         }
 
     def objective(self, sim):
-        return float(sim["cost_terms"].sum() + sim["pens"].sum() + sim["end"])
+        return float(
+            sim["cost_terms"].sum()
+            + self.w_pos * sim["negs"].sum()
+            + self.w_end * sim["residual"] ** 2
+        )
 
     def gradient(self, Xs, u_raws, sim, fd_step):
         """Central finite differences, batched over each step's parameters."""
         N, n, dt = self.N, self.n, self.dt
         m = n * n
         cost_prefix = np.concatenate([[0.0], np.cumsum(sim["cost_terms"])])
-        pen_prefix = np.concatenate([[0.0], np.cumsum(sim["pens"])])
+        pen_prefix = self.w_pos * np.concatenate([[0.0], np.cumsum(sim["negs"])])
         gX = np.empty((N, m))
         gU = np.empty((N, m))
         for k in range(N):
@@ -175,19 +163,14 @@ class _Engine:
             B = 4 * m
 
             # step k under perturbed controls (shared state rho_k)
-            rho_k = sim["states"][k]
-            vk = np.broadcast_to(sim["vals"][k], (2 * m, n))
-            wk = np.broadcast_to(sim["vecs"][k], (2 * m, n, n))
             uX = np.broadcast_to(sim["u_useds"][k], (2 * m, n, n))  # X-perturbs keep u
-            uU = _batch_project(vk, wk, Ucand, self.dtol)
+            uU = project_commutant_eig(sim["vals"][k], sim["vecs"][k], Ucand, self.dtol)
             u_all = np.concatenate([uX, uU])
-            props_X = _expm_batch(Xcand, dt)
             props_all = np.concatenate(
-                [props_X, np.broadcast_to(sim["props"][k], (2 * m, n, n))]
+                [expm_skew(Xcand * dt), np.broadcast_to(sim["props"][k], (2 * m, n, n))]
             )
-            inner = rho_k[None] + u_all * dt
-            states_b = props_all @ inner @ np.conj(np.swapaxes(props_all, 1, 2))
-            states_b = (states_b + np.conj(np.swapaxes(states_b, 1, 2))) / 2
+            inner = sim["states"][k] + u_all * dt
+            states_b = hermitian_part(props_all @ inner @ dagger(props_all))
 
             xn = np.concatenate(
                 [np.linalg.norm(Xcand, axis=(1, 2)),
@@ -200,13 +183,12 @@ class _Engine:
             for j in range(k + 1, N):
                 w, V = np.linalg.eigh(states_b)
                 suffix += self.w_pos * np.minimum(w[:, 0], 0.0) ** 2
-                uj = _batch_project(w, V, u_raws[j], self.dtol)
+                uj = project_commutant_eig(w, V, u_raws[j], self.dtol)
                 ujn = np.linalg.norm(uj, axis=(1, 2))
                 suffix += (_smooth(np.full(B, np.linalg.norm(Xs[j])), self.delta)
                            + self.eps * _smooth(ujn, self.delta)) * dt
                 E = sim["props"][j]
-                states_b = E[None] @ (states_b + uj * dt) @ E.conj().T[None]
-                states_b = (states_b + np.conj(np.swapaxes(states_b, 1, 2))) / 2
+                states_b = hermitian_part(E @ (states_b + uj * dt) @ dagger(E))
             w = np.linalg.eigvalsh(states_b)
             suffix += self.w_pos * np.minimum(w[:, 0], 0.0) ** 2
             diff = states_b - self.rho1[None]
@@ -251,24 +233,17 @@ def solve_discrete_path(
     n = rho0.shape[0]
 
     base = solve_geodesic(rho0, rho1, epsilon, max_enum=max_enum)
-    ts = np.arange(N) / N
     Xs = np.broadcast_to(base.X, (N, n, n)).copy()
-    u_raws = np.empty((N, n, n), dtype=complex)
-    theta, W = np.linalg.eigh(-1j * base.X)
-    WH = W.conj().T
-    for k, t in enumerate(ts):
-        U = (W * np.exp(1j * theta * t)) @ WH
-        u_raws[k] = U @ base.Z @ U.conj().T
-        u_raws[k] = (u_raws[k] + u_raws[k].conj().T) / 2
+    U = expm_skew_times(base.X, np.arange(N) / N)
+    u_raws = hermitian_part(U @ base.Z @ dagger(U))
 
     eng = _Engine(rho0, rho1, epsilon, N, w_end, w_pos, delta, degeneracy_tol)
+    sim = eng.simulate(Xs, u_raws)
     traces: list[tuple[float, ...]] = []
-    converged = False
     rounds_used = 0
     alpha = 1.0
     for rnd in range(max_rounds):
         rounds_used = rnd + 1
-        sim = eng.simulate(Xs, u_raws)
         phi = eng.objective(sim)
         trace = [phi]
         for _ in range(max_iters):
@@ -300,28 +275,20 @@ def solve_discrete_path(
             if rel < 1e-8:
                 break
         traces.append(tuple(trace))
-        residual = frob_norm(sim["states"][N] - rho1)
-        if residual <= tol_end:
-            converged = True
+        if sim["residual"] <= tol_end:
             break
         eng.w_end *= 2.0
         eng.w_pos *= 2.0
 
-    # canonical rebuild: stored path honors step()/project_commutant exactly
-    states = np.empty((N + 1, n, n), dtype=complex)
-    us = np.empty((N, n, n), dtype=complex)
-    states[0] = rho0
-    for k in range(N):
-        states[k + 1], us[k] = step(states[k], Xs[k], u_raws[k], 1.0 / N)
     path = DiscretePath(
         N=N,
         dt=1.0 / N,
-        states=states,
+        states=sim["states"],
         Xs=Xs.copy(),
-        us=us,
+        us=sim["u_useds"],
         cost=0.0,
-        endpoint_residual=float(frob_norm(states[N] - rho1)),
-        converged=converged,
+        endpoint_residual=sim["residual"],
+        converged=bool(sim["residual"] <= tol_end),
         rounds=rounds_used,
         objective_trace=tuple(traces),
     )

@@ -204,6 +204,17 @@ class TestInterpolate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1"])
+    def test_bad_epsilon_exits_3(self, docs, eps):
+        out = docs / "o"
+        code = main([
+            "interpolate", "--rho0", str(docs / "rho0.json"),
+            "--rho1", str(docs / "rho1.json"), f"--epsilon={eps}", "--quiet",
+            "--out", str(out),
+        ])
+        assert code == 3
+        assert not (out / "solution.json").exists()
+
     def test_schema_errors_exit_3(self, docs, tmp_path):
         missing = main([
             "interpolate", "--rho0", str(tmp_path / "nope.json"),
@@ -279,10 +290,10 @@ class TestPath:
 
 
 class TestSynthAndRegularize:
-    def synth(self, docs, out, seed=42, noise="0", times="0.05:0.05:1"):
+    def synth(self, docs, out, seed=42, noise="0", times="0.05:0.05:1", z=("--z", "0,0")):
         return main([
             "synth", "--rho0", str(docs / "rho0spd.json"), "--x", str(docs / "x.json"),
-            "--z", "0,0", "--times", times, "--noise", noise,
+            *z, "--times", times, "--noise", noise,
             "--seed", str(seed), "--out", str(out), "--quiet",
         ])
 
@@ -301,6 +312,13 @@ class TestSynthAndRegularize:
         assert a != (sdocs / "c" / "dataset.json").read_bytes()
         doc = json.loads(a)
         assert len(doc["samples"]) == 20
+
+    def test_synth_negative_z_space_separated(self, sdocs):
+        # argparse alone reads '-0.1,0.1' as an unknown option
+        assert self.synth(sdocs, sdocs / "a", z=("--z", "-0.1,0.1")) == 0
+        assert self.synth(sdocs, sdocs / "b", z=("--z=-0.1,0.1",)) == 0
+        a = (sdocs / "a" / "dataset.json").read_bytes()
+        assert a == (sdocs / "b" / "dataset.json").read_bytes()
 
     def test_synth_zero_noise_exact_flow(self, sdocs):
         assert self.synth(sdocs, sdocs / "a") == 0

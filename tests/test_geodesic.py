@@ -201,13 +201,31 @@ def test_large_problem_uses_local_search():
     assert endpoint_residual(sol, rho0, rho1) <= 1e-6
 
 
-def test_max_enum_env_override(monkeypatch):
+def test_max_enum_env_override():
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     rho1 = np.diag([0.0, 1.0]).astype(complex)
-    monkeypatch.setenv("DENFLOW_MAX_ENUM", "1")
-    sol = solve_geodesic(rho0, rho1, 0.1)  # forces the assignment seed path
+    sol = solve_geodesic(rho0, rho1, 0.1, max_enum=1)  # forces the assignment seed path
     assert sol.cost_rotation <= 1e-6
     assert np.allclose(sol.Z, np.diag([-1.0, 1.0]), atol=1e-6)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.5])
+def test_bad_epsilon_rejected(eps):
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    rho1 = np.diag([0.0, 1.0]).astype(complex)
+    with pytest.raises(ValueError, match="epsilon"):
+        solve_geodesic(rho0, rho1, eps)
+
+
+def test_rerun_is_bitwise_identical_n3():
+    rng = np.random.default_rng(47)
+    rho0 = random_psd(rng, 3)
+    rho1 = random_psd(rng, 3)
+    rho1 *= np.trace(rho0).real / np.trace(rho1).real
+    a = solve_geodesic(rho0, rho1, 0.5)
+    b = solve_geodesic(rho0.copy(), rho1.copy(), 0.5)
+    for field in ("X", "Z", "permutation", "cost_rotation", "cost_scaling", "cost_total"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def test_trace_mismatch_is_infeasible():

@@ -179,6 +179,36 @@ class TestSolver:
         assert path.rounds == 12
         assert np.isfinite(path.cost)
 
+    def test_converged_flag_matches_reported_residual(self):
+        # one round, so tol_end cannot change the trajectory; at and on
+        # either side of the reported residual the flag must agree with it
+        rho0 = np.diag([1.0, 0.1]).astype(complex)
+        rho1 = np.array([[0.4, 0.3], [0.3, 0.7]], dtype=complex)
+        kw = dict(steps=10, max_rounds=1, max_iters=2)
+        r = solve_discrete_path(rho0, rho1, 1.0, tol_end=0.0, **kw).endpoint_residual
+        assert r > 0.0
+        for tol in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
+            path = solve_discrete_path(rho0, rho1, 1.0, tol_end=float(tol), **kw)
+            assert path.endpoint_residual == r
+            assert path.converged == (path.endpoint_residual <= tol)
+
+    def test_rerun_is_bitwise_identical_n3(self):
+        rng = np.random.default_rng(48)
+        rho0 = random_psd(rng, 3)
+        rho1 = random_psd(rng, 3)
+        rho1 *= np.trace(rho0).real / np.trace(rho1).real
+        kw = dict(steps=6, max_rounds=2, max_iters=2)
+        a = solve_discrete_path(rho0, rho1, 1.0, **kw)
+        b = solve_discrete_path(rho0.copy(), rho1.copy(), 1.0, **kw)
+        for field in ("states", "Xs", "us", "cost", "endpoint_residual", "converged",
+                      "rounds", "objective_trace"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_non_finite_epsilon_rejected(self):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(ValueError, match="epsilon"):
+            solve_discrete_path(rho, rho, np.nan, steps=4)
+
     def test_trace_mismatch_rejected(self):
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         rho1 = np.diag([1.0, 0.5]).astype(complex)
