@@ -122,6 +122,8 @@ def _apply_gauge(Theta: np.ndarray, coord: tuple, a: float) -> np.ndarray:
 
 
 _GRID = np.linspace(-np.pi, np.pi, 25)
+_GAUGE_ROUNDS = 3  # coordinate sweeps per start of the gauge search
+_SIGN_LIMIT = 12  # largest n whose 2^n real sign patterns are scored for a start
 
 
 def _gauge_search(
@@ -129,8 +131,6 @@ def _gauge_search(
     U1: np.ndarray,
     spectrum: np.ndarray,
     degeneracy_tol: float = 1e-8,
-    rounds: int = 3,
-    sign_limit: int = 12,
 ) -> tuple[float, np.ndarray]:
     """Minimize ||log(U1 Theta U0p*)||_F over gauges Theta commuting with
     diag(spectrum).  Returns (cost, Theta)."""
@@ -154,7 +154,7 @@ def _gauge_search(
     real_inputs = (
         np.max(np.abs(U0p.imag)) <= 1e-12 and np.max(np.abs(U1.imag)) <= 1e-12
     )
-    if real_inputs and n <= sign_limit:
+    if real_inputs and n <= _SIGN_LIMIT:
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
         cands = np.zeros((len(signs), n, n), dtype=complex)
         cands[:, np.arange(n), np.arange(n)] = signs
@@ -167,7 +167,7 @@ def _gauge_search(
     for Theta0 in starts:
         Theta = Theta0.copy()
         cur = cost_of(Theta)
-        for _ in range(rounds):
+        for _ in range(_GAUGE_ROUNDS):
             improved = False
             for coord in coords:
                 f = lambda a: cost_of(_apply_gauge(Theta, coord, a))
@@ -199,7 +199,6 @@ def minimal_rotation(
     U1: np.ndarray,
     spectrum: np.ndarray,
     degeneracy_tol: float = 1e-8,
-    rounds: int = 3,
 ) -> np.ndarray:
     """Smallest-norm X with e^X mapping the frame U0p onto U1 up to gauge.
 
@@ -210,7 +209,7 @@ def minimal_rotation(
     BranchAmbiguityError if the optimal alignment has an eigenphase at the
     principal-branch cut (callers may retry via a gauge nudge).
     """
-    _, Theta = _gauge_search(U0p, U1, spectrum, degeneracy_tol, rounds)
+    _, Theta = _gauge_search(U0p, U1, spectrum, degeneracy_tol)
     return logm_unitary(U1 @ Theta @ U0p.conj().T)
 
 

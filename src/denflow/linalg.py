@@ -6,9 +6,10 @@ with every eigenvector phase-fixed so the basis is reproducible bit for
 bit.  The exponential of skew-Hermitian matrices, the propagators e^{Xt}
 over many times, the Hermitian/skew parts and the degeneracy grouping of
 eigenvalues accept single matrices and ``(..., n, n)`` stacks alike.  The
-principal logarithm of unitary matrices, commutators and the Frobenius
-(trace) inner product complete the set.  Matrices are plain ``numpy``
-arrays of ``complex`` dtype; targeted sizes are n ~ 2..10.
+principal logarithm of unitary matrices, commutators, the Frobenius (trace)
+inner product and coordinate bases of the (skew-)Hermitian matrices complete
+the set.  Matrices are plain ``numpy`` arrays of ``complex`` dtype; targeted
+sizes are n ~ 2..10.
 """
 
 from __future__ import annotations
@@ -238,44 +239,31 @@ def degeneracy_groups(values: np.ndarray, degeneracy_tol: float = 1e-8) -> np.nd
     return labels
 
 
-# --- packing between structured matrices and real parameter vectors ---
+# --- coordinate bases: A = np.tensordot(v, basis, 1) and v = coords(A, basis) ---
 
 
-def herm_to_vec(A: np.ndarray) -> np.ndarray:
-    """Flatten a Hermitian matrix into n^2 real parameters."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate([A.diagonal().real, A[iu].real, A[iu].imag])
+def _units(n: int):
+    """Unit matrices E_aa, then E_ab and E_ba over a < b in row-major order."""
+    E = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
+    iu, ju = np.triu_indices(n, k=1)
+    return E[np.arange(n), np.arange(n)], E[iu, ju], E[ju, iu]
 
 
-def vec_to_herm(v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    m = n * (n - 1) // 2
-    A = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(A, v[:n])
-    iu = np.triu_indices(n, k=1)
-    upper = v[n : n + m] + 1j * v[n + m :]
-    A[iu] = upper
-    A[(iu[1], iu[0])] = upper.conjugate()
-    return A
+def herm_basis(n: int) -> np.ndarray:
+    """Orthogonal basis (n^2, n, n) of the Hermitian matrices: E_aa, then
+    E_ab + E_ba, then i(E_ab - E_ba)."""
+    D, U, L = _units(n)
+    return np.concatenate([D, U + L, 1j * (U - L)])
 
 
-def skew_to_vec(X: np.ndarray) -> np.ndarray:
-    """Flatten a skew-Hermitian matrix into n^2 real parameters."""
-    X = np.asarray(X, dtype=complex)
-    n = X.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate([X.diagonal().imag, X[iu].real, X[iu].imag])
+def skew_basis(n: int) -> np.ndarray:
+    """Orthogonal basis (n^2, n, n) of the skew-Hermitian matrices: i E_aa,
+    then E_ab - E_ba, then i(E_ab + E_ba)."""
+    D, U, L = _units(n)
+    return np.concatenate([1j * D, U - L, 1j * (U + L)])
 
 
-def vec_to_skew(v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    m = n * (n - 1) // 2
-    X = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(X, 1j * v[:n])
-    iu = np.triu_indices(n, k=1)
-    upper = v[n : n + m] + 1j * v[n + m :]
-    X[iu] = upper
-    X[(iu[1], iu[0])] = -upper.conjugate()
-    return X
+def coords(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates of A, or of each matrix in a stack, in an orthogonal basis."""
+    inner = np.tensordot(np.asarray(A, dtype=complex), basis.conj(), axes=((-2, -1), (-2, -1)))
+    return inner.real / (np.abs(basis) ** 2).sum(axis=(1, 2))

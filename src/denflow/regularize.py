@@ -25,6 +25,7 @@ import numpy as np
 from .linalg import (
     BranchAmbiguityError,
     _phase_fix,
+    coords,
     dagger,
     eig_hermitian,
     expm_skew,
@@ -32,11 +33,11 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     logm_unitary,
-    skew_to_vec,
-    vec_to_skew,
+    skew_basis,
 )
 
 _DELTA = 1e-8  # objective smoothing width
+_REL_TOL = 1e-8  # a sweep that lowers the objective by less than this, relatively, ends a start
 
 
 @dataclass(frozen=True)
@@ -241,18 +242,19 @@ def _initial_guess(ts, vals):
     return V0, p0, z0, X0
 
 
-def _fd_gradient(f, dim, scale_at):
-    g = np.empty(dim)
-    for i in range(dim):
+def _fd_gradient(f, scale_at):
+    g = np.empty(len(scale_at))
+    for i in range(len(g)):
         h = 1e-6 * max(1.0, abs(scale_at[i]))
-        e = np.zeros(dim)
+        e = np.zeros_like(g)
         e[i] = h
         g[i] = (f(e) - f(-e)) / (2 * h)
     return g
 
 
-def _descend(obj, V, p, z, X, max_iters, rel_tol):
+def _descend(obj, V, p, z, X, max_iters):
     n = obj.n
+    S = skew_basis(n)
     props = obj.props(X)
     f = obj.value(V, p, z, props)
     history = [f]
@@ -276,18 +278,15 @@ def _descend(obj, V, p, z, X, max_iters, rel_tol):
 
         # frame block: V <- V e^A
         gV = _fd_gradient(
-            lambda e: obj.value(V @ expm_skew(vec_to_skew(e, n)), p, z, props),
-            n * n,
+            lambda e: obj.value(V @ expm_skew(np.tensordot(e, S, 1)), p, z, props),
             np.zeros(n * n),
         )
-        got = line_search(
-            "V",
-            gV,
-            lambda a, g: (
-                obj.value(V @ expm_skew(vec_to_skew(-a * g, n)), p, z, props),
-                V @ expm_skew(vec_to_skew(-a * g, n)),
-            ),
-        )
+
+        def v_step(a, g):
+            Vt = V @ expm_skew(np.tensordot(-a * g, S, 1))
+            return obj.value(Vt, p, z, props), Vt
+
+        got = line_search("V", gV, v_step)
         if got is not None:
             f, V = got
             history.append(f)
@@ -297,7 +296,7 @@ def _descend(obj, V, p, z, X, max_iters, rel_tol):
             pp, zz = _project_pz(p + e[:n], z + e[n:])
             return obj.value(V, pp, zz, props)
 
-        gpz = _fd_gradient(pz_val, 2 * n, np.concatenate([p, z]))
+        gpz = _fd_gradient(pz_val, np.concatenate([p, z]))
 
         def pz_step(a, g):
             pp, zz = _project_pz(p - a * g[:n], z - a * g[n:])
@@ -310,13 +309,12 @@ def _descend(obj, V, p, z, X, max_iters, rel_tol):
 
         # rotation block: X <- X + S (trace kept zero to fix the gauge)
         gX = _fd_gradient(
-            lambda e: obj.value(V, p, z, obj.props(_strip_trace(X + vec_to_skew(e, n)))),
-            n * n,
-            skew_to_vec(X),
+            lambda e: obj.value(V, p, z, obj.props(_strip_trace(X + np.tensordot(e, S, 1)))),
+            coords(X, S),
         )
 
         def x_step(a, g):
-            Xt = _strip_trace(X + vec_to_skew(-a * g, n))
+            Xt = _strip_trace(X + np.tensordot(-a * g, S, 1))
             return obj.value(V, p, z, obj.props(Xt)), Xt
 
         got = line_search("X", gX, x_step)
@@ -326,7 +324,7 @@ def _descend(obj, V, p, z, X, max_iters, rel_tol):
             history.append(f)
 
         # a sweep with no accepted step has zero decrease and lands here too
-        if (f_start - f) / max(1.0, abs(f_start)) < rel_tol:
+        if (f_start - f) / max(1.0, abs(f_start)) < _REL_TOL:
             stalled = False
             break
     return V, p, z, X, f, stalled, history
@@ -337,7 +335,6 @@ def solve_regularization(
     seeds: int = 5,
     max_iters: int = 5000,
     squared: bool = False,
-    rel_tol: float = 1e-8,
     rng_seed: int = 0,
 ) -> RegularizedModel:
     """Fit the flow parameters to samples by multi-start block descent.
@@ -355,19 +352,20 @@ def solve_regularization(
     obj = _Objective(ts, vals, squared)
     V0, p0, z0, X0 = _initial_guess(ts, vals)
     rng = np.random.default_rng(rng_seed)
+    S = skew_basis(n)
     best = None
     for s in range(max(1, seeds)):
         if s == 0:
             V, p, z, X = V0, p0, z0, X0
         else:
             sigma = 0.05 * s
-            V = V0 @ expm_skew(vec_to_skew(rng.normal(0.0, sigma, n * n), n))
-            X = _strip_trace(X0 + vec_to_skew(rng.normal(0.0, sigma, n * n), n))
+            V = V0 @ expm_skew(np.tensordot(rng.normal(0.0, sigma, n * n), S, 1))
+            X = _strip_trace(X0 + np.tensordot(rng.normal(0.0, sigma, n * n), S, 1))
             p, z = _project_pz(
                 p0 + rng.normal(0.0, sigma * max(1.0, p0.max(initial=1.0)), n),
                 z0 + rng.normal(0.0, sigma, n),
             )
-        V, p, z, X, f, stalled, history = _descend(obj, V, p, z, X, max_iters, rel_tol)
+        V, p, z, X, f, stalled, history = _descend(obj, V, p, z, X, max_iters)
         if best is None or f < best[4]:
             best = (V, p, z, X, f, stalled, history)
     V, p, z, X, _, stalled, history = best

@@ -7,31 +7,30 @@ current state, and the endpoint and positivity constraints by penalties
 with continuation.  Gradients of the smoothed objective are central finite
 differences on the raw per-step controls.
 
-The descent engine batches the finite-difference trajectories: perturbing
-a control at step k leaves states 0..k untouched, so only the suffix is
-re-propagated, for all of step k's parameters at once.  The returned path
-is the engine's own final trajectory: its states, projected controls and
-endpoint residual come from the same simulation that decides convergence,
-and step() applied to the stored controls reproduces the stored states.
+The descent engine propagates in one place, a batched rollout from step k
+to N that returns the unweighted cost, negativity and endpoint terms.  A
+path is a rollout of one from step 0; the gradient is one rollout per step
+over all of that step's perturbed controls, since states 0..k and the terms
+before step k are shared and cancel in a central difference.  The returned
+path is the engine's own final trajectory, the one that decides convergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .geodesic import solve_geodesic
 from .linalg import (
+    coords,
     dagger,
     expm_skew,
     expm_skew_times,
-    frob_norm,
-    herm_to_vec,
+    herm_basis,
     hermitian_part,
-    skew_to_vec,
-    vec_to_herm,
-    vec_to_skew,
+    skew_basis,
 )
 from .tangent import project_commutant, project_commutant_eig
 
@@ -74,129 +73,98 @@ def discrete_cost(path: DiscretePath, epsilon: float) -> float:
     return float((xs + epsilon * us).sum() * path.dt)
 
 
-# --- descent engine (batched over finite-difference trajectories) ---
+# --- descent engine (one batched rollout serves the objective and its gradient) ---
+
+_W_END = 1e4  # initial endpoint weight; continuation doubles it each round
+_W_POS = 1e4  # initial positivity weight; doubled with the endpoint weight
+_FD_STEP = 1e-6  # relative central-difference step
+_DELTA = 1e-8  # smoothing width of the norms in the cost
+_DEGENERACY_TOL = 1e-8  # eigenvalue gaps treated as degenerate in the projection
 
 
-def _smooth(x: np.ndarray, delta: float) -> np.ndarray:
-    return np.sqrt(x * x + delta * delta) - delta
+def _smooth(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(x * x + _DELTA * _DELTA) - _DELTA
+
+
+class _Rollout(NamedTuple):
+    """States k..N, projected controls k..N-1 and unweighted objective terms."""
+
+    states: np.ndarray
+    us: np.ndarray
+    cost: np.ndarray  # smoothed sum_j (||X_j|| + epsilon ||u_j||) dt over steps k..N-1
+    neg: np.ndarray  # sum of squared negative lowest eigenvalues of states k+1..N
+    end: np.ndarray  # endpoint residual ||rho_N - rho1||_F
 
 
 class _Engine:
     """Objective evaluation and finite-difference gradient for the solver."""
 
-    def __init__(self, rho0, rho1, epsilon, N, w_end, w_pos, delta, degeneracy_tol):
+    def __init__(self, rho0, rho1, epsilon, N):
         self.rho0 = rho0
         self.rho1 = rho1
         self.eps = epsilon
         self.N = N
         self.n = rho0.shape[0]
         self.dt = 1.0 / N
-        self.w_end = w_end
-        self.w_pos = w_pos
-        self.delta = delta
-        self.dtol = degeneracy_tol
+        self.w_end = _W_END
+        self.w_pos = _W_POS
+        self.SX = skew_basis(self.n)
+        self.SU = herm_basis(self.n)
 
-    def simulate(self, Xs, u_raws):
-        """Propagate the whole path; returns everything the gradient reuses.
+    def rollout(self, k, rho, Xk, uk_raw, Xs, u_raws):
+        """Propagate a batch of paths from the state rho at step k to step N.
 
-        Penalties are stored unweighted, so one trajectory stays valid
-        while continuation raises the weights.
+        Step k applies the batched controls ``Xk``, ``uk_raw`` (B, n, n);
+        the later steps apply the shared ``Xs[j]``, ``u_raws[j]``.  Terms
+        before step k are left out: they are common to the whole batch.
         """
-        N, n = self.N, self.n
-        states = np.empty((N + 1, n, n), dtype=complex)
-        u_useds = np.empty((N, n, n), dtype=complex)
-        states[0] = self.rho0
-        props = expm_skew(Xs * self.dt)
-        vals = np.empty((N + 1, n))
-        vecs = np.empty((N + 1, n, n), dtype=complex)
-        vals[0], vecs[0] = np.linalg.eigh(self.rho0)
-        for k in range(N):
-            u = project_commutant_eig(vals[k], vecs[k], u_raws[k], self.dtol)
-            u_useds[k] = u
-            states[k + 1] = hermitian_part(props[k] @ (states[k] + u * self.dt) @ dagger(props[k]))
-            vals[k + 1], vecs[k + 1] = np.linalg.eigh(states[k + 1])
-        xnorm = np.linalg.norm(Xs, axis=(1, 2))
-        unorm = np.linalg.norm(u_useds, axis=(1, 2))
-        cost_terms = (_smooth(xnorm, self.delta) + self.eps * _smooth(unorm, self.delta)) * self.dt
-        residual = frob_norm(states[N] - self.rho1)
-        return {
-            "states": states, "vals": vals, "vecs": vecs, "props": props,
-            "u_useds": u_useds, "cost_terms": cost_terms,
-            "negs": np.minimum(vals[1:, 0], 0.0) ** 2,  # states 1..N
-            "residual": residual,
-        }
-
-    def objective(self, sim):
-        return float(
-            sim["cost_terms"].sum()
-            + self.w_pos * sim["negs"].sum()
-            + self.w_end * sim["residual"] ** 2
+        N, n, dt = self.N, self.n, self.dt
+        B = len(Xk)
+        X = np.concatenate([Xk, Xs[k + 1 :]])
+        props = expm_skew(X * dt)
+        states = np.empty((B, N - k + 1, n, n), dtype=complex)
+        us = np.empty((B, N - k, n, n), dtype=complex)
+        states[:, 0] = rho
+        neg = 0.0
+        w, V = np.linalg.eigh(rho)
+        for i, (E, u_raw) in enumerate(zip([props[:B], *props[B:]], [uk_raw, *u_raws[k + 1 :]])):
+            us[:, i] = project_commutant_eig(w, V, u_raw, _DEGENERACY_TOL)
+            rho = hermitian_part(E @ (rho + us[:, i] * dt) @ dagger(E))
+            states[:, i + 1] = rho
+            w, V = np.linalg.eigh(rho)
+            neg = neg + np.minimum(w[:, 0], 0.0) ** 2
+        xcost = _smooth(np.linalg.norm(X, axis=(1, 2)))
+        ucost = self.eps * _smooth(np.linalg.norm(us, axis=(2, 3)))
+        return _Rollout(
+            states, us, (xcost[:B] + xcost[B:].sum() + ucost.sum(axis=1)) * dt, neg,
+            np.linalg.norm(rho - self.rho1, axis=(1, 2)),
         )
 
-    def gradient(self, Xs, u_raws, sim, fd_step):
-        """Central finite differences, batched over each step's parameters."""
-        N, n, dt = self.N, self.n, self.dt
-        m = n * n
-        cost_prefix = np.concatenate([[0.0], np.cumsum(sim["cost_terms"])])
-        pen_prefix = self.w_pos * np.concatenate([[0.0], np.cumsum(sim["negs"])])
-        gX = np.empty((N, m))
-        gU = np.empty((N, m))
-        for k in range(N):
-            xv = skew_to_vec(Xs[k])
-            uv = herm_to_vec(u_raws[k])
-            hx = fd_step * np.maximum(1.0, np.abs(xv))
-            hu = fd_step * np.maximum(1.0, np.abs(uv))
-            Xcand = []
-            for i in range(m):
-                for s in (+1.0, -1.0):
-                    v = xv.copy()
-                    v[i] += s * hx[i]
-                    Xcand.append(vec_to_skew(v, n))
-            Ucand = []
-            for i in range(m):
-                for s in (+1.0, -1.0):
-                    v = uv.copy()
-                    v[i] += s * hu[i]
-                    Ucand.append(vec_to_herm(v, n))
-            Xcand = np.array(Xcand)
-            Ucand = np.array(Ucand)
-            B = 4 * m
+    def simulate(self, Xs, u_raws):
+        """The whole path, a rollout of one from step 0.  Its terms are
+        unweighted, so continuation re-weights them without simulating again."""
+        r = self.rollout(0, self.rho0, Xs[:1], u_raws[:1], Xs, u_raws)
+        return _Rollout(*(a[0] for a in r))
 
-            # step k under perturbed controls (shared state rho_k)
-            uX = np.broadcast_to(sim["u_useds"][k], (2 * m, n, n))  # X-perturbs keep u
-            uU = project_commutant_eig(sim["vals"][k], sim["vecs"][k], Ucand, self.dtol)
-            u_all = np.concatenate([uX, uU])
-            props_all = np.concatenate(
-                [expm_skew(Xcand * dt), np.broadcast_to(sim["props"][k], (2 * m, n, n))]
-            )
-            inner = sim["states"][k] + u_all * dt
-            states_b = hermitian_part(props_all @ inner @ dagger(props_all))
+    def objective(self, r):
+        """Smoothed cost plus the weighted penalties, per rollout member."""
+        return r.cost + self.w_pos * r.neg + self.w_end * r.end**2
 
-            xn = np.concatenate(
-                [np.linalg.norm(Xcand, axis=(1, 2)),
-                 np.full(2 * m, np.linalg.norm(Xs[k]))]
-            )
-            un = np.linalg.norm(u_all, axis=(1, 2))
-            suffix = (_smooth(xn, self.delta) + self.eps * _smooth(un, self.delta)) * dt
-
-            # propagate the batch through the remaining steps
-            for j in range(k + 1, N):
-                w, V = np.linalg.eigh(states_b)
-                suffix += self.w_pos * np.minimum(w[:, 0], 0.0) ** 2
-                uj = project_commutant_eig(w, V, u_raws[j], self.dtol)
-                ujn = np.linalg.norm(uj, axis=(1, 2))
-                suffix += (_smooth(np.full(B, np.linalg.norm(Xs[j])), self.delta)
-                           + self.eps * _smooth(ujn, self.delta)) * dt
-                E = sim["props"][j]
-                states_b = hermitian_part(E @ (states_b + uj * dt) @ dagger(E))
-            w = np.linalg.eigvalsh(states_b)
-            suffix += self.w_pos * np.minimum(w[:, 0], 0.0) ** 2
-            diff = states_b - self.rho1[None]
-            suffix += self.w_end * np.linalg.norm(diff, axis=(1, 2)) ** 2
-
-            phi = cost_prefix[k] + pen_prefix[k] + suffix
-            gX[k] = (phi[0 : 2 * m : 2] - phi[1 : 2 * m : 2]) / (2 * hx)
-            gU[k] = (phi[2 * m :: 2] - phi[2 * m + 1 :: 2]) / (2 * hu)
+    def gradient(self, Xs, u_raws, states):
+        """Central finite differences of the objective: one rollout per step
+        over its 4n^2 perturbed controls X_k +- h_i SX_i and u_k +- h_i SU_i."""
+        hX = _FD_STEP * np.maximum(1.0, np.abs(coords(Xs, self.SX)))
+        hU = _FD_STEP * np.maximum(1.0, np.abs(coords(u_raws, self.SU)))
+        gX, gU = np.empty_like(hX), np.empty_like(hU)
+        for k in range(self.N):
+            dX = hX[k, :, None, None] * self.SX
+            dU = hU[k, :, None, None] * self.SU
+            X, u = np.broadcast_to(Xs[k], dX.shape), np.broadcast_to(u_raws[k], dU.shape)
+            r = self.rollout(k, states[k], np.concatenate([X + dX, X - dX, X, X]),
+                             np.concatenate([u, u, u + dU, u - dU]), Xs, u_raws)
+            phi = self.objective(r).reshape(4, -1)
+            gX[k] = (phi[0] - phi[1]) / (2 * hX[k])
+            gU[k] = (phi[2] - phi[3]) / (2 * hU[k])
         return gX, gU
 
 
@@ -208,11 +176,6 @@ def solve_discrete_path(
     tol_end: float = 1e-4,
     max_rounds: int = 12,
     max_iters: int = 8,
-    w_end: float = 1e4,
-    w_pos: float = 1e4,
-    fd_step: float = 1e-6,
-    delta: float = 1e-8,
-    degeneracy_tol: float = 1e-8,
     max_enum: int | None = None,
 ) -> DiscretePath:
     """Minimize the discretized rotation-plus-scaling cost between endpoints.
@@ -229,39 +192,36 @@ def solve_discrete_path(
     rho1 = np.asarray(rho1, dtype=complex)
     if steps < 2:
         raise ValueError("need at least 2 steps")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be positive")
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     N = int(steps)
-    n = rho0.shape[0]
 
     base = solve_geodesic(rho0, rho1, epsilon, max_enum=max_enum)
-    Xs = np.broadcast_to(base.X, (N, n, n)).copy()
+    Xs = np.repeat(base.X[None], N, axis=0)
     U = expm_skew_times(base.X, np.arange(N) / N)
     u_raws = hermitian_part(U @ base.Z @ dagger(U))
 
-    eng = _Engine(rho0, rho1, epsilon, N, w_end, w_pos, delta, degeneracy_tol)
+    eng = _Engine(rho0, rho1, epsilon, N)
     sim = eng.simulate(Xs, u_raws)
     traces: list[tuple[float, ...]] = []
-    rounds_used = 0
     alpha = 1.0
-    for rnd in range(max_rounds):
-        rounds_used = rnd + 1
-        phi = eng.objective(sim)
+    for rounds_used in range(1, max_rounds + 1):
+        phi = float(eng.objective(sim))
         trace = [phi]
         for _ in range(max_iters):
-            gX, gU = eng.gradient(Xs, u_raws, sim, fd_step)
+            gX, gU = eng.gradient(Xs, u_raws, sim.states)
             gnorm2 = float((gX**2).sum() + (gU**2).sum())
             if gnorm2 < 1e-24:
                 break
             accepted = False
             alpha = min(alpha * 4.0, 1e3 / (1.0 + np.sqrt(gnorm2)))
             while alpha > 1e-14:
-                Xs_t = np.stack(
-                    [vec_to_skew(skew_to_vec(Xs[k]) - alpha * gX[k], n) for k in range(N)]
-                )
-                u_t = np.stack(
-                    [vec_to_herm(herm_to_vec(u_raws[k]) - alpha * gU[k], n) for k in range(N)]
-                )
+                Xs_t = Xs - alpha * np.tensordot(gX, eng.SX, 1)
+                u_t = u_raws - alpha * np.tensordot(gU, eng.SU, 1)
                 sim_t = eng.simulate(Xs_t, u_t)
-                phi_t = eng.objective(sim_t)
+                phi_t = float(eng.objective(sim_t))
                 if phi_t < phi - 1e-4 * alpha * gnorm2:
                     Xs, u_raws, sim = Xs_t, u_t, sim_t
                     rel = (phi - phi_t) / max(1.0, abs(phi))
@@ -270,12 +230,10 @@ def solve_discrete_path(
                     accepted = True
                     break
                 alpha *= 0.5
-            if not accepted:
-                break
-            if rel < 1e-8:
+            if not accepted or rel < 1e-8:
                 break
         traces.append(tuple(trace))
-        if sim["residual"] <= tol_end:
+        if sim.end <= tol_end:
             break
         eng.w_end *= 2.0
         eng.w_pos *= 2.0
@@ -283,12 +241,12 @@ def solve_discrete_path(
     path = DiscretePath(
         N=N,
         dt=1.0 / N,
-        states=sim["states"],
+        states=sim.states,
         Xs=Xs.copy(),
-        us=sim["u_useds"],
+        us=sim.us,
         cost=0.0,
-        endpoint_residual=sim["residual"],
-        converged=bool(sim["residual"] <= tol_end),
+        endpoint_residual=float(sim.end),
+        converged=bool(sim.end <= tol_end),
         rounds=rounds_used,
         objective_trace=tuple(traces),
     )

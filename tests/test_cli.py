@@ -288,6 +288,16 @@ class TestPath:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
 
+    def test_zero_rounds_exits_3(self, docs):
+        out = docs / "run"
+        code = main([
+            "path", "--rho0", str(docs / "rho0.json"),
+            "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
+            "--steps", "4", "--max-rounds", "0", "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert not (out / "report.json").exists()
+
 
 class TestSynthAndRegularize:
     def synth(self, docs, out, seed=42, noise="0", times="0.05:0.05:1", z=("--z", "0,0")):

@@ -6,8 +6,14 @@ import pytest
 from conftest import random_hermitian, random_psd, random_skew
 
 from denflow.geodesic import InfeasibleError, eval_path, path_cost, solve_geodesic
-from denflow.linalg import expm_skew, frob_norm
-from denflow.transcription import DiscretePath, discrete_cost, solve_discrete_path, step
+from denflow.linalg import coords, expm_skew, frob_norm, herm_basis, skew_basis
+from denflow.transcription import (
+    DiscretePath,
+    _Engine,
+    discrete_cost,
+    solve_discrete_path,
+    step,
+)
 
 
 def build_constant_path(rho0, X, Z, N, conjugate=True):
@@ -219,3 +225,49 @@ class TestSolver:
         rho = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(ValueError):
             solve_discrete_path(rho, rho, 1.0, steps=1)
+
+    @pytest.mark.parametrize("kw", [dict(max_rounds=0), dict(max_rounds=-1), dict(max_iters=-1)])
+    def test_bad_budget_rejected(self, kw):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(ValueError, match="max_"):
+            solve_discrete_path(rho, rho, 1.0, steps=4, **kw)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("n, N", [(2, 4), (3, 3)])
+    def test_matches_central_differences_of_the_objective(self, n, N):
+        # the batched suffix rollouts must give the same central differences
+        # as whole-path simulations perturbed one coordinate at a time
+        # rho0 is nearly singular, so the path turns negative, and rho1 lies
+        # near the path's end: all three objective terms show in the gradient
+        rng = np.random.default_rng(60)
+        rho0 = random_psd(rng, n)
+        rho0 += (0.02 - np.linalg.eigvalsh(rho0)[0]) * np.eye(n)
+        Xs = np.stack([random_skew(rng, n, 0.5) for _ in range(N)])
+        u_raws = np.stack([random_hermitian(rng, n, 0.5) for _ in range(N)])
+        D = random_hermitian(rng, n, 0.01)
+        end = _Engine(rho0, rho0, 0.7, N).simulate(Xs, u_raws).states[-1]
+        eng = _Engine(rho0, end + D - np.trace(D) / n * np.eye(n), 0.7, N)
+        sim = eng.simulate(Xs, u_raws)
+        assert sim.neg > 0.0 and sim.end > 0.0
+        gX, gU = eng.gradient(Xs, u_raws, sim.states)
+
+        def phi(Xs, u_raws):
+            return float(eng.objective(eng.simulate(Xs, u_raws)))
+
+        def central(controls, basis, perturb):
+            ref = np.empty((N, n * n))
+            for k in range(N):
+                for i, S in enumerate(basis):
+                    h = 1e-6 * max(1.0, abs(coords(controls[k], basis)[i]))
+                    plus, minus = controls.copy(), controls.copy()
+                    plus[k] += h * S
+                    minus[k] -= h * S
+                    ref[k, i] = (perturb(plus) - perturb(minus)) / (2 * h)
+            return ref
+
+        refX = central(Xs, skew_basis(n), lambda c: phi(c, u_raws))
+        refU = central(u_raws, herm_basis(n), lambda c: phi(Xs, c))
+        tol = 1e-7 * max(1.0, np.abs(gX).max(), np.abs(gU).max())
+        assert np.abs(gX - refX).max() <= tol
+        assert np.abs(gU - refU).max() <= tol
