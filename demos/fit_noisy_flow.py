@@ -13,7 +13,7 @@ skew-Hermitian generator X.  Positivity is kept on the whole window by the
 endpoint constraints p >= 0 and p + z >= 0.
 
 The script synthesizes noisy data from a known ground truth, runs the
-multi-start block-coordinate fit, and compares the recovered generator and
+multi-start L-BFGS-B fit, and compares the recovered generator and
 initial state against the truth.
 """
 
@@ -40,9 +40,10 @@ samples = synth_noisy_path(rho0, X_true, z_true, times, noise_amp=0.05, seed=7)
 print("synthesized", len(samples), "noisy samples, t in [%.2f, %.2f]" % (times[0], times[-1]))
 
 # ----------------------------------------------------------------------------
-# Fit.  Multi-start block-coordinate descent: rotate the frame V, move the
-# eigenvalue parameters (p, z) under the positivity constraints, update the
-# generator X; repeat until a sweep stops paying.
+# Fit.  Each start is one L-BFGS-B solve on the exact gradient, moving the
+# frame V, the eigenvalue parameters (p, z) and the generator X together;
+# positivity and sum(z) = 0 hold by the choice of coordinates.  A start ends
+# once an iteration stops paying; the lowest objective wins.
 # ----------------------------------------------------------------------------
 model = solve_regularization(samples, seeds=5)
 print("\nfit result:")

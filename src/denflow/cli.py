@@ -435,8 +435,6 @@ def _add_endpoint_flags(sub):
     sub.add_argument("--rho1", required=True, help="target state document")
     sub.add_argument("--epsilon", type=float, required=True,
                      help="scaling-cost weight in the objective")
-    sub.add_argument("--samples", type=int, default=21,
-                     help="number of path samples (default 21)")
     sub.add_argument("--max-enum", type=int, default=None, dest="max_enum",
                      help="exhaustive spectral-matching cap (default 7)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -453,6 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("interpolate", parents=[], help="constant-control interpolation")
     _add_endpoint_flags(p)
+    p.add_argument("--samples", type=int, default=21,
+                   help="number of path samples (default 21)")
     _add_common(p)
     p.set_defaults(func=cmd_interpolate)
 
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset document")
     p.add_argument("--seeds", type=int, default=5, help="multi-start count (default 5)")
     p.add_argument("--max-iters", type=int, default=5000, dest="max_iters",
-                   help="descent iteration cap (default 5000)")
+                   help="L-BFGS-B iterations per start (default 5000)")
     p.add_argument("--squared", action="store_true",
                    help="fit sum of squared misfits instead of sum of norms")
     p.add_argument("--seed", type=int, default=0,

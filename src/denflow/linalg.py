@@ -6,6 +6,7 @@ with every eigenvector phase-fixed so the basis is reproducible bit for
 bit.  The exponential of skew-Hermitian matrices, the propagators e^{Xt}
 over many times, the Hermitian/skew parts and the degeneracy grouping of
 eigenvalues accept single matrices and ``(..., n, n)`` stacks alike.  The
+adjoint of the derivative of those propagators (summed over times), the
 principal logarithm of unitary matrices, commutators, the Frobenius (trace)
 inner product and coordinate bases of the (skew-)Hermitian matrices complete
 the set.  Matrices are plain ``numpy`` arrays of ``complex`` dtype; targeted
@@ -179,6 +180,26 @@ def expm_skew_times(X: np.ndarray, times) -> np.ndarray:
     eigendecomposition of -iX."""
     theta, W = _eig_for_exp(-1j * np.asarray(X, dtype=complex))
     return _exp_i(theta * np.asarray(times, dtype=float)[:, None], W)
+
+
+def expm_skew_times_adjoint(X: np.ndarray, times, Y) -> np.ndarray:
+    """Gradient in X of sum_i Re<Y_i, e^{X t_i}>, for skew-Hermitian X: the
+    matrix G with d sum_i Re<Y_i, e^{X t_i}> = Re<G, dX>.
+
+    Daleckii-Krein in the eigenbasis of -iX = W diag(theta) W*: the
+    derivative of e^{Xt} scales W* dX W elementwise by t times the divided
+    differences of e^{i theta t}, taken in the half-angle form of the expm1
+    quotient, e^{i(theta_j + theta_k)t/2} sin(g)/g with g = (theta_j -
+    theta_k)t/2, which stays accurate as eigenvalues coincide.  One
+    eigendecomposition serves every time.
+    """
+    theta, W = _eig_for_exp(-1j * np.asarray(X, dtype=complex))
+    t = np.asarray(times, dtype=float)[:, None, None]
+    phi = np.exp(0.5j * t * (theta[:, None] + theta[None, :])) * np.sinc(
+        t * (theta[:, None] - theta[None, :]) / (2 * np.pi)
+    )
+    Yw = dagger(W) @ np.asarray(Y, dtype=complex) @ W
+    return W @ (t * np.conj(phi) * Yw).sum(axis=0) @ dagger(W)
 
 
 def eig_unitary(Q: np.ndarray, cluster_tol: float = 1e-6) -> EigenDecomposition:

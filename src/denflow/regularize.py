@@ -4,16 +4,17 @@ The model is rho(t) = e^{Xt} V diag(p + z t) V* e^{-Xt} with X
 skew-Hermitian, V unitary, p >= 0, p + z >= 0 (so the linear-in-t
 eigenvalues stay nonnegative on [0, 1]) and sum(z) = 0.  The fit
 minimizes the sum of Frobenius misfits at the sample times — a sum of
-norms, not squares, kept as is and smoothed only for descent; a squared
+norms, not squares, kept as is and smoothed only for the solver; a squared
 variant is available behind a flag.
 
-Block-coordinate descent keeps every iterate feasible by construction:
-V moves multiplicatively (V <- V e^A with A skew), X additively by a
-skew increment, and (p, z) by projected gradient onto the constraint
-polytope.  Gradients are central finite differences of the smoothed
-objective.  The additive i*phi*I gauge of the outer rotation (it cancels
-in the conjugation, so the path cannot see it) is fixed by keeping X
-traceless.
+Each start is one L-BFGS-B solve (``scipy.optimize.minimize``) on the
+exact gradient of the smoothed objective, in coordinates x = (a, p, q, c)
+that turn every constraint into a bound: V = V_start e^{A(a)} and X = X(c)
+expand A and X in ``skew_basis``, and z = q sum(p)/sum(q) - p, so the
+bounds p, q >= 0 give p + z >= 0 and sum(z) = 0 by construction.  The
+gradient in A and X goes through ``expm_skew_times_adjoint``.  The additive
+i*phi*I gauge of the outer rotation cancels in the conjugation, so the path
+cannot see it; the fitted X is returned traceless.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 
 from .linalg import (
     BranchAmbiguityError,
@@ -30,6 +32,7 @@ from .linalg import (
     eig_hermitian,
     expm_skew,
     expm_skew_times,
+    expm_skew_times_adjoint,
     hermitian_part,
     is_hermitian,
     logm_unitary,
@@ -37,7 +40,7 @@ from .linalg import (
 )
 
 _DELTA = 1e-8  # objective smoothing width
-_REL_TOL = 1e-8  # a sweep that lowers the objective by less than this, relatively, ends a start
+_REL_TOL = 1e-8  # an iteration that lowers the objective by less than this, relatively, ends a start
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,12 @@ class MatrixSample:
 
 @dataclass(frozen=True)
 class RegularizedModel:
-    """Fitted flow parameters plus the achieved (unsmoothed) objective."""
+    """Fitted flow parameters plus the achieved (unsmoothed) objective.
+
+    ``history`` holds the winning start's smoothed objective at its start
+    and after each solver iteration; ``stalled`` means that start hit its
+    iteration cap before the stop rule was met.
+    """
 
     V: np.ndarray
     p: np.ndarray
@@ -88,14 +96,15 @@ def _check_samples(samples, minimum: int = 1):
 def model_path(model: RegularizedModel, times) -> np.ndarray:
     """Model states e^{Xt} V diag(p + z t) V* e^{-Xt} at the given times."""
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    return hermitian_part(_flow(expm_skew_times(model.X, ts), model.V, model.p, model.z, ts))
+    lam = model.p[None, :] + np.outer(ts, model.z)
+    return hermitian_part(_flow(expm_skew_times(model.X, ts), model.V, lam)[1])
 
 
-def _flow(props, V, p, z, ts):
-    """States props_i V diag(p + z t_i) V* props_i*, given props_i = e^{X t_i}."""
-    lam = p[None, :] + np.outer(ts, z)
+def _flow(props, V, lam):
+    """Cores V diag(lam_i) V* and states props_i core_i props_i*, given
+    props_i = e^{X t_i}."""
     core = np.einsum("ik,tk,jk->tij", V, lam, V.conj())
-    return props @ core @ dagger(props)
+    return core, props @ core @ dagger(props)
 
 
 def residual(model: RegularizedModel, samples, squared: bool = False) -> float:
@@ -195,25 +204,6 @@ def _project_pz(p: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(pn, 0.0), zn
 
 
-class _Objective:
-    """Smoothed misfit evaluation with the rotation propagators cached."""
-
-    def __init__(self, ts, vals, squared):
-        self.ts = ts
-        self.vals = vals
-        self.squared = squared
-        self.n = vals.shape[1]
-
-    def props(self, X):
-        return expm_skew_times(X, self.ts)
-
-    def value(self, V, p, z, props):
-        r = np.linalg.norm(_flow(props, V, p, z, self.ts) - self.vals, axis=(1, 2))
-        if self.squared:
-            return float((r * r).sum())
-        return float((np.sqrt(r * r + _DELTA * _DELTA) - _DELTA).sum())
-
-
 def _strip_trace(X):
     n = X.shape[0]
     return X - (np.trace(X) / n) * np.eye(n)
@@ -242,92 +232,44 @@ def _initial_guess(ts, vals):
     return V0, p0, z0, X0
 
 
-def _fd_gradient(f, scale_at):
-    g = np.empty(len(scale_at))
-    for i in range(len(g)):
-        h = 1e-6 * max(1.0, abs(scale_at[i]))
-        e = np.zeros_like(g)
-        e[i] = h
-        g[i] = (f(e) - f(-e)) / (2 * h)
-    return g
+def _unpack(x, V_start, S):
+    """A, V, p, z, X, w and sum(q) at x = (a, p, q, c), with z = w sum(p) - p
+    for the weights w = q / sum(q)."""
+    m, n = len(S), V_start.shape[0]
+    a, p, q, c = np.split(x, [m, m + n, m + 2 * n])
+    s = q.sum()
+    # sum(q) = 0 only at q = 0, where any weights give p + z = 0; uniform
+    # ones keep z finite (the all-zero start then stays at p = z = 0)
+    w = q / s if s > 0.0 else np.full(n, 1.0 / n)
+    A = np.tensordot(a, S, 1)
+    return A, V_start @ expm_skew(A), p, w * p.sum() - p, np.tensordot(c, S, 1), w, s
 
 
-def _descend(obj, V, p, z, X, max_iters):
-    n = obj.n
-    S = skew_basis(n)
-    props = obj.props(X)
-    f = obj.value(V, p, z, props)
-    history = [f]
-    alphas = {"V": 1.0, "X": 1.0, "pz": 1.0}
-    stalled = True  # cleared when the relative-decrease criterion is met
-    for _ in range(max_iters):
-        f_start = f
-
-        def line_search(key, grad, apply_step):
-            gnorm2 = float(grad @ grad)
-            if gnorm2 < 1e-24:
-                return None
-            alpha = min(alphas[key] * 4.0, 1e2)
-            while alpha > 1e-14:
-                trial = apply_step(alpha, grad)
-                if trial[0] < f - 1e-4 * alpha * gnorm2:
-                    alphas[key] = alpha
-                    return trial
-                alpha *= 0.5
-            return None
-
-        # frame block: V <- V e^A
-        gV = _fd_gradient(
-            lambda e: obj.value(V @ expm_skew(np.tensordot(e, S, 1)), p, z, props),
-            np.zeros(n * n),
-        )
-
-        def v_step(a, g):
-            Vt = V @ expm_skew(np.tensordot(-a * g, S, 1))
-            return obj.value(Vt, p, z, props), Vt
-
-        got = line_search("V", gV, v_step)
-        if got is not None:
-            f, V = got
-            history.append(f)
-
-        # eigenvalue block: projected gradient on (p, z)
-        def pz_val(e):
-            pp, zz = _project_pz(p + e[:n], z + e[n:])
-            return obj.value(V, pp, zz, props)
-
-        gpz = _fd_gradient(pz_val, np.concatenate([p, z]))
-
-        def pz_step(a, g):
-            pp, zz = _project_pz(p - a * g[:n], z - a * g[n:])
-            return obj.value(V, pp, zz, props), (pp, zz)
-
-        got = line_search("pz", gpz, pz_step)
-        if got is not None:
-            f, (p, z) = got
-            history.append(f)
-
-        # rotation block: X <- X + S (trace kept zero to fix the gauge)
-        gX = _fd_gradient(
-            lambda e: obj.value(V, p, z, obj.props(_strip_trace(X + np.tensordot(e, S, 1)))),
-            coords(X, S),
-        )
-
-        def x_step(a, g):
-            Xt = _strip_trace(X + np.tensordot(-a * g, S, 1))
-            return obj.value(V, p, z, obj.props(Xt)), Xt
-
-        got = line_search("X", gX, x_step)
-        if got is not None:
-            f, X = got
-            props = obj.props(X)
-            history.append(f)
-
-        # a sweep with no accepted step has zero decrease and lands here too
-        if (f_start - f) / max(1.0, abs(f_start)) < _REL_TOL:
-            stalled = False
-            break
-    return V, p, z, X, f, stalled, history
+def _objective(x, V_start, S, ts, vals, squared):
+    """Smoothed objective and its exact gradient in x = (a, p, q, c)."""
+    A, V, p, z, X, w, s = _unpack(x, V_start, S)
+    props = expm_skew_times(X, ts)
+    lam = p[None, :] + np.outer(ts, z)
+    core, states = _flow(props, V, lam)
+    R = states - vals
+    r = np.linalg.norm(R, axis=(1, 2))
+    if squared:
+        f, G = (r * r).sum(), 2.0 * hermitian_part(R)
+    else:
+        h = np.sqrt(r * r + _DELTA * _DELTA)
+        f, G = (h - _DELTA).sum(), hermitian_part(R) / h[:, None, None]
+    # dF = sum_i Re<G_i, d state_i>; H_i = props_i* G_i props_i is the same
+    # differential on the core V diag(lam_i) V*
+    HV = dagger(props) @ G @ props @ V
+    M = np.einsum("ik,tik->tk", V.conj(), HV).real  # dF/dlam_i = diag(V* H_i V)
+    gp, gz = M.sum(axis=0), ts @ M
+    gV = 2.0 * np.einsum("tik,tk->ik", HV, lam)
+    gA = expm_skew_times_adjoint(A, [1.0], [dagger(V_start) @ gV])
+    gX = expm_skew_times_adjoint(X, ts, 2.0 * G @ props @ core)
+    gq = (p.sum() / s) * (gz - gz @ w) if s > 0.0 else np.zeros(len(w))
+    grad = [np.tensordot(S.conj(), gA, 2).real, gp - gz + gz @ w, gq,
+            np.tensordot(S.conj(), gX, 2).real]
+    return float(f), np.concatenate(grad)
 
 
 def solve_regularization(
@@ -337,22 +279,26 @@ def solve_regularization(
     squared: bool = False,
     rng_seed: int = 0,
 ) -> RegularizedModel:
-    """Fit the flow parameters to samples by multi-start block descent.
+    """Fit the flow parameters to samples by multi-start L-BFGS-B.
 
-    Each start perturbs the eigen-structure initial guess a little and
-    descends; the best objective wins.  A start that cannot decrease the
-    objective over a full sweep (or runs out of iterations before the
-    relative-decrease criterion) is considered stalled; the flag on the
-    returned model refers to the winning start.
+    The first start is the eigen-structure initial guess; each further
+    start perturbs it a little, more for later starts.  Each runs one
+    L-BFGS-B solve of at most ``max_iters`` iterations, which stops once an
+    iteration lowers the smoothed objective by less than 1e-8 relative to
+    max(1, objective) or the projected gradient vanishes.  The lowest
+    objective wins; the returned model's ``stalled`` and ``history`` are
+    those of the winning start.
     """
     ts, vals = _check_samples(samples, minimum=3)
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     n = vals.shape[1]
-    obj = _Objective(ts, vals, squared)
     V0, p0, z0, X0 = _initial_guess(ts, vals)
     rng = np.random.default_rng(rng_seed)
     S = skew_basis(n)
+    m = len(S)
+    bounds = Bounds(np.concatenate([np.full(m, -np.inf), np.zeros(2 * n), np.full(m, -np.inf)]),
+                    np.inf)
     best = None
     for s in range(max(1, seeds)):
         if s == 0:
@@ -365,10 +311,18 @@ def solve_regularization(
                 p0 + rng.normal(0.0, sigma * max(1.0, p0.max(initial=1.0)), n),
                 z0 + rng.normal(0.0, sigma, n),
             )
-        V, p, z, X, f, stalled, history = _descend(obj, V, p, z, X, max_iters)
-        if best is None or f < best[4]:
-            best = (V, p, z, X, f, stalled, history)
-    V, p, z, X, _, stalled, history = best
+        args = (V, S, ts, vals, squared)
+        x0 = np.concatenate([np.zeros(m), p, p + z, coords(X, S)])
+        history = [_objective(x0, *args)[0]]
+        res = minimize(
+            _objective, x0, args=args, method="L-BFGS-B", jac=True, bounds=bounds,
+            options={"maxiter": max_iters, "ftol": _REL_TOL},
+            callback=lambda intermediate_result: history.append(float(intermediate_result.fun)),
+        )
+        if best is None or res.fun < best[0]:
+            best = (res.fun, res.x, V, res.status == 1, history)
+    _, x, V_start, stalled, history = best
+    _, V, p, z, X, _, _ = _unpack(x, V_start, S)
     # column phases of V are pure gauge (they commute with the diagonal
     # core), so fix them for reproducible output
     model = RegularizedModel(

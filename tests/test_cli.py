@@ -288,6 +288,16 @@ class TestPath:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
 
+    def test_samples_flag_rejected(self, docs):
+        # a path has N + 1 states; --samples belongs to interpolate only
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "path", "--rho0", str(docs / "rho0.json"),
+                "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
+                "--samples", "5", "--out", str(docs / "run"), "--quiet",
+            ])
+        assert exc.value.code == 3
+
     def test_zero_rounds_exits_3(self, docs):
         out = docs / "run"
         code = main([

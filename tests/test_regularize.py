@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from denflow.linalg import frob_norm, is_unitary
+from conftest import random_hermitian, random_skew, random_unitary
+from denflow.linalg import coords, expm_skew, frob_norm, is_unitary, skew_basis
 from denflow.regularize import (
     MatrixSample,
     RegularizedModel,
@@ -11,6 +12,7 @@ from denflow.regularize import (
     residual,
     solve_regularization,
     synth_noisy_path,
+    _objective,
     _project_pz,
 )
 
@@ -135,6 +137,37 @@ class TestProjection:
             assert np.allclose(z, z2, atol=1e-10)
 
 
+class TestGradient:
+    @pytest.mark.parametrize("start", ["random", "a=0", "X gap 1e-9"])
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_central_differences_of_the_objective(self, n, squared, start):
+        # every start begins at a = 0, where all eigenvalues of A coincide;
+        # a near-degenerate X checks the divided differences where their
+        # plain quotient would cancel
+        rng = np.random.default_rng(70 + n)
+        S = skew_basis(n)
+        ts = np.linspace(0.1, 1.0, 5)
+        vals = np.stack([random_hermitian(rng, n) for _ in ts])
+        V_start = expm_skew(random_skew(rng, n, 0.5))
+        a = np.zeros(len(S)) if start == "a=0" else coords(random_skew(rng, n, 0.5), S)
+        X = random_skew(rng, n)
+        if start == "X gap 1e-9":
+            W = random_unitary(rng, n)
+            theta = np.arange(n, dtype=float)
+            theta[1] = theta[0] + 1e-9
+            X = (W * (1j * theta)) @ W.conj().T
+        x = np.concatenate([a, rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n), coords(X, S)])
+        args = (V_start, S, ts, vals, squared)
+        g = _objective(x, *args)[1]
+        ref = np.empty_like(g)
+        for i in range(len(x)):
+            e = np.zeros_like(x)
+            e[i] = 1e-6 * max(1.0, abs(x[i]))
+            ref[i] = (_objective(x + e, *args)[0] - _objective(x - e, *args)[0]) / (2 * e[i])
+        assert np.abs(g - ref).max() <= 1e-7 * max(1.0, np.abs(g).max())
+
+
 class TestSolve:
     def test_noise_free_recovery(self):
         data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES, noise_amp=0.0, seed=1)
@@ -162,6 +195,15 @@ class TestSolve:
         data = [MatrixSample(t, C.copy()) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
         m = solve_regularization(data, seeds=2)
         assert m.objective <= 1e-6
+        assert not m.stalled
+
+    @pytest.mark.parametrize("D, want", [(np.zeros((2, 2)), 0.0), (-np.eye(2), 3 * np.sqrt(2))])
+    def test_zero_drift_sum_gives_zero_flow(self, D, want):
+        # the starts have p + z = 0, so the drift weights q / sum(q) divide 0 by 0
+        data = [MatrixSample(t, D.astype(complex)) for t in (0.0, 0.5, 1.0)]
+        m = solve_regularization(data, seeds=2)
+        assert np.array_equal(m.p, np.zeros(2)) and np.array_equal(m.z, np.zeros(2))
+        assert abs(m.objective - want) <= 1e-12
         assert not m.stalled
 
     def test_noisy_fit_close_to_truth_residual(self):
