@@ -13,9 +13,10 @@ The discrete dynamics are an exponential-Euler step
 
 with u_k projected onto the commutant of rho_k so the drift never tilts the
 eigenframe.  The solver seeds all steps from the constant-control answer,
-then runs penalized gradient descent with an endpoint continuation: the
-endpoint-mismatch weight doubles each round until the terminal residual is
-within tolerance.
+then minimizes the cost plus endpoint and positivity penalties by L-BFGS-B
+on an exact (reverse-sweep) gradient, with an endpoint continuation: the
+penalty weights double each round until the terminal residual is within
+tolerance.
 """
 
 import numpy as np

@@ -136,8 +136,8 @@ def synth_noisy_path(
     z = np.asarray(z, dtype=float)
     n = rho0.shape[0]
     ts = np.asarray(times, dtype=float)
-    if noise_amp < 0:
-        raise ValueError("noise_amp must be nonnegative")
+    if not (np.isfinite(noise_amp) and noise_amp >= 0):
+        raise ValueError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
     vals0, V0 = eig_hermitian(rho0)
     Z = (V0 * z[None, :]) @ V0.conj().T
     Z = (Z + Z.conj().T) / 2
@@ -160,48 +160,6 @@ def synth_noisy_path(
 
 
 # --- solver internals ---
-
-
-def _project_wedge(p: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise projection onto the wedge {p >= 0, p + z >= 0}.
-
-    The infeasible region partitions exactly by normal cones — onto the
-    p = 0 edge when z > 0, onto the p + z = 0 edge when p > z, and onto
-    the apex between — so no distance comparison (with its cancellation
-    hazards) is needed.
-    """
-    feas = (p >= 0.0) & (p + z >= 0.0)
-    on_edge1 = ~feas & (z > 0.0)
-    foot = (p - z) / 2
-    on_edge2 = ~feas & ~on_edge1 & (p > z)
-    pn = np.where(on_edge1, 0.0, np.where(on_edge2, foot, 0.0))
-    zn = np.where(on_edge1, z, np.where(on_edge2, -foot, 0.0))
-    return np.where(feas, p, pn), np.where(feas, z, zn)
-
-
-def _project_pz(p: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean projection onto {p >= 0, p + z >= 0, sum(z) = 0}.
-
-    Shifting z onto the zero-sum hyperplane is the full projection
-    whenever the result is feasible (the common case).  Otherwise the sum
-    constraint couples coordinates through a single multiplier, found by
-    bisection on the (monotone) total drift of the wedge projection.
-    """
-    z0 = z - z.mean()
-    if np.all(p >= 0.0) and np.all(p + z0 >= 0.0):
-        return p.copy(), z0
-    span = float(np.abs(z0).max(initial=0.0) + np.abs(p).max(initial=0.0) + 1.0)
-    lo, hi = -span, span
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if _project_wedge(p, z0 - mid)[1].sum() > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    pn, zn = _project_wedge(p, z0 - (lo + hi) / 2)
-    zn = zn - zn.sum() / zn.size  # exact zero-sum polish
-    zn = np.maximum(zn, -pn)
-    return np.maximum(pn, 0.0), zn
 
 
 def _strip_trace(X):
@@ -228,8 +186,7 @@ def _initial_guess(ts, vals):
     # back-rotate the first-sample frame to t = 0 so the model matches the
     # data near t_1 from the start
     V0 = expm_skew(-X0 * ts[0]) @ Vfirst
-    p0, z0 = _project_pz(np.maximum(p0, 0.0), z0)
-    return V0, p0, z0, X0
+    return V0, np.maximum(p0, 0.0), z0, X0
 
 
 def _unpack(x, V_start, S):
@@ -290,6 +247,8 @@ def solve_regularization(
     those of the winning start.
     """
     ts, vals = _check_samples(samples, minimum=3)
+    if seeds < 1:
+        raise ValueError("seeds must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     n = vals.shape[1]
@@ -300,19 +259,20 @@ def solve_regularization(
     bounds = Bounds(np.concatenate([np.full(m, -np.inf), np.zeros(2 * n), np.full(m, -np.inf)]),
                     np.inf)
     best = None
-    for s in range(max(1, seeds)):
+    for s in range(seeds):
         if s == 0:
             V, p, z, X = V0, p0, z0, X0
         else:
             sigma = 0.05 * s
             V = V0 @ expm_skew(np.tensordot(rng.normal(0.0, sigma, n * n), S, 1))
             X = _strip_trace(X0 + np.tensordot(rng.normal(0.0, sigma, n * n), S, 1))
-            p, z = _project_pz(
-                p0 + rng.normal(0.0, sigma * max(1.0, p0.max(initial=1.0)), n),
-                z0 + rng.normal(0.0, sigma, n),
-            )
+            p = p0 + rng.normal(0.0, sigma * max(1.0, p0.max(initial=1.0)), n)
+            z = z0 + rng.normal(0.0, sigma, n)
         args = (V, S, ts, vals, squared)
-        x0 = np.concatenate([np.zeros(m), p, p + z, coords(X, S)])
+        # clipped into the box, the start is feasible: z = q sum(p)/sum(q) - p
+        # gives p + z >= 0 and sum(z) = 0 at every point of it
+        x0 = np.concatenate([np.zeros(m), np.maximum(p, 0.0), np.maximum(p + z, 0.0),
+                             coords(X, S)])
         history = [_objective(x0, *args)[0]]
         res = minimize(
             _objective, x0, args=args, method="L-BFGS-B", jac=True, bounds=bounds,

@@ -4,15 +4,17 @@ States evolve by exponential-Euler steps rho_{k+1} = e^{X_k dt}(rho_k +
 u_k dt)e^{-X_k dt}, which preserve the Hermitian structure and the trace
 exactly; the commutant constraint on u_k is enforced by projection at the
 current state, and the endpoint and positivity constraints by penalties
-with continuation.  Gradients of the smoothed objective are central finite
-differences on the raw per-step controls.
+with continuation.  Each continuation round is one L-BFGS-B solve
+(``scipy.optimize.minimize``) over the ``skew_basis``/``herm_basis``
+coordinates of the per-step controls.
 
-The descent engine propagates in one place, a batched rollout from step k
-to N that returns the unweighted cost, negativity and endpoint terms.  A
-path is a rollout of one from step 0; the gradient is one rollout per step
-over all of that step's perturbed controls, since states 0..k and the terms
-before step k are shared and cancel in a central difference.  The returned
-path is the engine's own final trajectory, the one that decides convergence.
+The gradient of the smoothed objective is one reverse sweep over the
+simulated path.  It carries lam = dJ/d rho_{k+1} back through the
+propagator (via ``expm_skew_times_adjoint``), through the commutant
+projection (self-adjoint in the controls, and dependent on rho_k through
+its eigenvectors), and picks up the positivity penalty at every state.
+The returned path is the engine's own final trajectory, the one that
+decides convergence.
 """
 
 from __future__ import annotations
@@ -21,13 +23,17 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .geodesic import solve_geodesic
 from .linalg import (
     coords,
+    commutator,
     dagger,
+    degeneracy_groups,
     expm_skew,
     expm_skew_times,
+    expm_skew_times_adjoint,
     herm_basis,
     hermitian_part,
     skew_basis,
@@ -73,11 +79,11 @@ def discrete_cost(path: DiscretePath, epsilon: float) -> float:
     return float((xs + epsilon * us).sum() * path.dt)
 
 
-# --- descent engine (one batched rollout serves the objective and its gradient) ---
+# --- descent engine (one simulation gives the objective, one reverse sweep its gradient) ---
 
 _W_END = 1e4  # initial endpoint weight; continuation doubles it each round
 _W_POS = 1e4  # initial positivity weight; doubled with the endpoint weight
-_FD_STEP = 1e-6  # relative central-difference step
+_REL_TOL = 1e-8  # an iteration that lowers the objective by less than this, relatively, ends a round
 _DELTA = 1e-8  # smoothing width of the norms in the cost
 _DEGENERACY_TOL = 1e-8  # eigenvalue gaps treated as degenerate in the projection
 
@@ -86,18 +92,28 @@ def _smooth(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + _DELTA * _DELTA) - _DELTA
 
 
-class _Rollout(NamedTuple):
-    """States k..N, projected controls k..N-1 and unweighted objective terms."""
+def _smooth_grad(A: np.ndarray) -> np.ndarray:
+    """Gradient of _smooth(||A||_F) in A, matrixwise over a stack."""
+    return A / np.sqrt(np.linalg.norm(A, axis=(-2, -1), keepdims=True) ** 2 + _DELTA * _DELTA)
+
+
+def _along(G: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Derivatives Re<S_i, G> along each basis matrix S_i, given the gradient G."""
+    return np.tensordot(G, basis.conj(), axes=((-2, -1), (-2, -1))).real
+
+
+class _Path(NamedTuple):
+    """States 0..N, projected controls 0..N-1 and unweighted objective terms."""
 
     states: np.ndarray
     us: np.ndarray
-    cost: np.ndarray  # smoothed sum_j (||X_j|| + epsilon ||u_j||) dt over steps k..N-1
-    neg: np.ndarray  # sum of squared negative lowest eigenvalues of states k+1..N
-    end: np.ndarray  # endpoint residual ||rho_N - rho1||_F
+    cost: float  # smoothed sum_k (||X_k|| + epsilon ||u_k||) dt
+    neg: float  # sum of squared negative lowest eigenvalues of states 1..N
+    end: float  # endpoint residual ||rho_N - rho1||_F
 
 
 class _Engine:
-    """Objective evaluation and finite-difference gradient for the solver."""
+    """Objective evaluation and reverse-sweep gradient for the solver."""
 
     def __init__(self, rho0, rho1, epsilon, N):
         self.rho0 = rho0
@@ -111,61 +127,63 @@ class _Engine:
         self.SX = skew_basis(self.n)
         self.SU = herm_basis(self.n)
 
-    def rollout(self, k, rho, Xk, uk_raw, Xs, u_raws):
-        """Propagate a batch of paths from the state rho at step k to step N.
-
-        Step k applies the batched controls ``Xk``, ``uk_raw`` (B, n, n);
-        the later steps apply the shared ``Xs[j]``, ``u_raws[j]``.  Terms
-        before step k are left out: they are common to the whole batch.
-        """
-        N, n, dt = self.N, self.n, self.dt
-        B = len(Xk)
-        X = np.concatenate([Xk, Xs[k + 1 :]])
-        props = expm_skew(X * dt)
-        states = np.empty((B, N - k + 1, n, n), dtype=complex)
-        us = np.empty((B, N - k, n, n), dtype=complex)
-        states[:, 0] = rho
-        neg = 0.0
-        w, V = np.linalg.eigh(rho)
-        for i, (E, u_raw) in enumerate(zip([props[:B], *props[B:]], [uk_raw, *u_raws[k + 1 :]])):
-            us[:, i] = project_commutant_eig(w, V, u_raw, _DEGENERACY_TOL)
-            rho = hermitian_part(E @ (rho + us[:, i] * dt) @ dagger(E))
-            states[:, i + 1] = rho
-            w, V = np.linalg.eigh(rho)
-            neg = neg + np.minimum(w[:, 0], 0.0) ** 2
-        xcost = _smooth(np.linalg.norm(X, axis=(1, 2)))
-        ucost = self.eps * _smooth(np.linalg.norm(us, axis=(2, 3)))
-        return _Rollout(
-            states, us, (xcost[:B] + xcost[B:].sum() + ucost.sum(axis=1)) * dt, neg,
-            np.linalg.norm(rho - self.rho1, axis=(1, 2)),
-        )
-
     def simulate(self, Xs, u_raws):
-        """The whole path, a rollout of one from step 0.  Its terms are
-        unweighted, so continuation re-weights them without simulating again."""
-        r = self.rollout(0, self.rho0, Xs[:1], u_raws[:1], Xs, u_raws)
-        return _Rollout(*(a[0] for a in r))
+        """The whole path from rho0.  Its terms are unweighted, so
+        continuation re-weights them without simulating again."""
+        N, n, dt = self.N, self.n, self.dt
+        states = np.empty((N + 1, n, n), dtype=complex)
+        us = np.empty((N, n, n), dtype=complex)
+        states[0] = rho = self.rho0
+        w, V = np.linalg.eigh(rho)
+        neg = 0.0
+        for k, E in enumerate(expm_skew(Xs * dt)):
+            us[k] = project_commutant_eig(w, V, u_raws[k], _DEGENERACY_TOL)
+            states[k + 1] = rho = hermitian_part(E @ (rho + us[k] * dt) @ dagger(E))
+            w, V = np.linalg.eigh(rho)
+            neg += min(w[0], 0.0) ** 2
+        xcost = _smooth(np.linalg.norm(Xs, axis=(1, 2)))
+        ucost = self.eps * _smooth(np.linalg.norm(us, axis=(1, 2)))
+        return _Path(states, us, float((xcost + ucost).sum() * dt), float(neg),
+                     float(np.linalg.norm(rho - self.rho1)))
 
     def objective(self, r):
-        """Smoothed cost plus the weighted penalties, per rollout member."""
+        """Smoothed cost plus the weighted penalties."""
         return r.cost + self.w_pos * r.neg + self.w_end * r.end**2
 
     def gradient(self, Xs, u_raws, states):
-        """Central finite differences of the objective: one rollout per step
-        over its 4n^2 perturbed controls X_k +- h_i SX_i and u_k +- h_i SU_i."""
-        hX = _FD_STEP * np.maximum(1.0, np.abs(coords(Xs, self.SX)))
-        hU = _FD_STEP * np.maximum(1.0, np.abs(coords(u_raws, self.SU)))
-        gX, gU = np.empty_like(hX), np.empty_like(hU)
-        for k in range(self.N):
-            dX = hX[k, :, None, None] * self.SX
-            dU = hU[k, :, None, None] * self.SU
-            X, u = np.broadcast_to(Xs[k], dX.shape), np.broadcast_to(u_raws[k], dU.shape)
-            r = self.rollout(k, states[k], np.concatenate([X + dX, X - dX, X, X]),
-                             np.concatenate([u, u, u + dU, u - dU]), Xs, u_raws)
-            phi = self.objective(r).reshape(4, -1)
-            gX[k] = (phi[0] - phi[1]) / (2 * hX[k])
-            gU[k] = (phi[2] - phi[3]) / (2 * hU[k])
-        return gX, gU
+        """Derivatives of the objective along the control bases, by one
+        reverse sweep: lam = dJ/d rho_{k+1} goes back through rho_{k+1} =
+        E_k M_k E_k*, E_k = e^{X_k dt}, M_k = rho_k + P_{rho_k}(u_raw_k) dt, to
+        X_k, to u_raw_k through the self-adjoint projection P, and to rho_k
+        through M_k, the eigenvectors P uses and the positivity term."""
+        N, dt = self.N, self.dt
+        w, V = np.linalg.eigh(states)
+        props = expm_skew(Xs * dt)
+        us = project_commutant_eig(w[:-1], V[:-1], u_raws, _DEGENERACY_TOL)
+        # P_rho(u) = V (B o V* u V) V* with the block mask B; a move of rho turns V
+        # by the skew C = F o (V* drho V), F_jk = 1/(w_k - w_j) across blocks
+        labels = degeneracy_groups(w, _DEGENERACY_TOL)
+        B = labels[:, :, None] == labels[:, None, :]
+        F = np.zeros(B.shape)
+        np.divide(1.0, w[:, None, :] - w[:, :, None], out=F, where=~B)
+        A = dagger(V[:-1]) @ u_raws @ V[:-1]
+        # gradient of w_pos min(w_0, 0)^2 at each state, v_0 its lowest eigenvector
+        v0 = V[:, :, :1]
+        pos = 2.0 * self.w_pos * np.minimum(w[:, 0], 0.0)[:, None, None] * (v0 @ dagger(v0))
+        gX = dt * _smooth_grad(Xs)
+        g = dt * self.eps * _smooth_grad(us)  # dJ/du_k, completed in the sweep
+        lam = 2.0 * self.w_end * (states[N] - self.rho1) + pos[N]
+        for k in range(N - 1, -1, -1):
+            E, Vk = props[k], V[k]
+            gX[k] += expm_skew_times_adjoint(Xs[k], [dt], [2.0 * lam @ E @ (states[k] + us[k] * dt)])
+            lam = dagger(E) @ lam @ E  # dJ/dM_k
+            g[k] += dt * lam
+            G = dagger(Vk) @ g[k] @ Vk
+            K = commutator(G, B[k] * A[k]) + commutator(A[k], B[k] * G)
+            # lam after step 0 is dJ/drho0, unused: rho0 is fixed
+            lam = lam + Vk @ (F[k] * K) @ dagger(Vk) + pos[k]
+        gU = project_commutant_eig(w[:-1], V[:-1], g, _DEGENERACY_TOL)
+        return _along(gX, self.SX), _along(gU, self.SU)
 
 
 def solve_discrete_path(
@@ -186,12 +204,16 @@ def solve_discrete_path(
     descent can then only improve on it.  Continuation doubles the endpoint
     and positivity weights until the endpoint residual meets ``tol_end`` or
     ``max_rounds`` is exhausted (the best path is returned flagged
-    non-converged in that case).
+    non-converged in that case).  Each round is one L-BFGS-B solve of at
+    most ``max_iters`` iterations, which stops early once an iteration
+    lowers the objective by less than 1e-8 relative to max(1, objective).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     rho1 = np.asarray(rho1, dtype=complex)
     if steps < 2:
         raise ValueError("need at least 2 steps")
+    if not tol_end >= 0.0:
+        raise ValueError(f"tol_end must be nonnegative, got {tol_end}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
     if max_iters < 0:
@@ -204,34 +226,30 @@ def solve_discrete_path(
     u_raws = hermitian_part(U @ base.Z @ dagger(U))
 
     eng = _Engine(rho0, rho1, epsilon, N)
-    sim = eng.simulate(Xs, u_raws)
+
+    def controls(x):
+        """(Xs, u_raws) from x, their coordinates in the two bases, stacked."""
+        cX, cU = x.reshape(2, N, -1)
+        return np.tensordot(cX, eng.SX, 1), np.tensordot(cU, eng.SU, 1)
+
+    def fun(x):
+        Xs, u_raws = controls(x)
+        sim = eng.simulate(Xs, u_raws)
+        return eng.objective(sim), np.ravel(eng.gradient(Xs, u_raws, sim.states))
+
+    x = np.ravel([coords(Xs, eng.SX), coords(u_raws, eng.SU)])
+    sim = eng.simulate(*controls(x))
     traces: list[tuple[float, ...]] = []
-    alpha = 1.0
     for rounds_used in range(1, max_rounds + 1):
-        phi = float(eng.objective(sim))
-        trace = [phi]
-        for _ in range(max_iters):
-            gX, gU = eng.gradient(Xs, u_raws, sim.states)
-            gnorm2 = float((gX**2).sum() + (gU**2).sum())
-            if gnorm2 < 1e-24:
-                break
-            accepted = False
-            alpha = min(alpha * 4.0, 1e3 / (1.0 + np.sqrt(gnorm2)))
-            while alpha > 1e-14:
-                Xs_t = Xs - alpha * np.tensordot(gX, eng.SX, 1)
-                u_t = u_raws - alpha * np.tensordot(gU, eng.SU, 1)
-                sim_t = eng.simulate(Xs_t, u_t)
-                phi_t = float(eng.objective(sim_t))
-                if phi_t < phi - 1e-4 * alpha * gnorm2:
-                    Xs, u_raws, sim = Xs_t, u_t, sim_t
-                    rel = (phi - phi_t) / max(1.0, abs(phi))
-                    phi = phi_t
-                    trace.append(phi)
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted or rel < 1e-8:
-                break
+        trace = [eng.objective(sim)]
+        # L-BFGS-B takes a step even at maxiter=0
+        if max_iters > 0:
+            x = minimize(
+                fun, x, method="L-BFGS-B", jac=True,
+                options={"maxiter": max_iters, "ftol": _REL_TOL},
+                callback=lambda intermediate_result: trace.append(float(intermediate_result.fun)),
+            ).x
+            sim = eng.simulate(*controls(x))
         traces.append(tuple(trace))
         if sim.end <= tol_end:
             break
@@ -242,10 +260,10 @@ def solve_discrete_path(
         N=N,
         dt=1.0 / N,
         states=sim.states,
-        Xs=Xs.copy(),
+        Xs=controls(x)[0],
         us=sim.us,
         cost=0.0,
-        endpoint_residual=float(sim.end),
+        endpoint_residual=sim.end,
         converged=bool(sim.end <= tol_end),
         rounds=rounds_used,
         objective_trace=tuple(traces),

@@ -308,6 +308,17 @@ class TestPath:
         assert code == 3
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tolerance_exits_3(self, docs, tol):
+        out = docs / "run"
+        code = main([
+            "path", "--rho0", str(docs / "rho0.json"),
+            "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
+            "--steps", "4", "--tol-end", tol, "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert not (out / "report.json").exists()
+
 
 class TestSynthAndRegularize:
     def synth(self, docs, out, seed=42, noise="0", times="0.05:0.05:1", z=("--z", "0,0")):
@@ -392,6 +403,21 @@ class TestSynthAndRegularize:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_synth_non_finite_noise_exits_3(self, sdocs, noise):
+        assert self.synth(sdocs, sdocs / "a", noise=noise) == 3
+        assert not (sdocs / "a" / "dataset.json").exists()
+
+    def test_regularize_zero_seeds_exits_3(self, sdocs):
+        assert self.synth(sdocs, sdocs / "a") == 0
+        out = sdocs / "fit"
+        code = main([
+            "regularize", "--data", str(sdocs / "a" / "dataset.json"),
+            "--seeds", "0", "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert not (out / "model.json").exists()
 
     def test_synth_bad_times_exits_3(self, sdocs):
         code = self.synth(sdocs, sdocs / "a", times="nonsense")

@@ -13,7 +13,6 @@ from denflow.regularize import (
     solve_regularization,
     synth_noisy_path,
     _objective,
-    _project_pz,
 )
 
 RHO0 = np.diag([1.0, 0.1]).astype(complex)
@@ -77,6 +76,11 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES, noise_amp=-0.1)
 
+    @pytest.mark.parametrize("amp", [np.nan, np.inf])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match="noise_amp"):
+            synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES, noise_amp=amp)
+
 
 class TestResidual:
     def test_exact_samples_zero(self):
@@ -107,34 +111,6 @@ class TestResidual:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             residual(truth_model(RHO0, XTRUE), [])
-
-
-class TestProjection:
-    def test_interior_point_unchanged(self):
-        p, z = _project_pz(np.array([0.5, 0.7]), np.array([0.1, -0.1]))
-        assert np.allclose(p, [0.5, 0.7])
-        assert np.allclose(z, [0.1, -0.1])
-
-    def test_drift_recentered(self):
-        p, z = _project_pz(np.array([1.0, 1.0]), np.array([0.3, 0.1]))
-        assert abs(z.sum()) <= 1e-12
-        assert np.allclose(z, [0.1, -0.1])
-
-    def test_constraints_enforced(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            p, z = _project_pz(rng.normal(size=3), rng.normal(size=3))
-            assert np.all(p >= -1e-12)
-            assert np.all(p + z >= -1e-12)
-            assert abs(z.sum()) <= 1e-12
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            p, z = _project_pz(rng.normal(size=2), rng.normal(size=2))
-            p2, z2 = _project_pz(p, z)
-            assert np.allclose(p, p2, atol=1e-10)
-            assert np.allclose(z, z2, atol=1e-10)
 
 
 class TestGradient:
@@ -226,6 +202,12 @@ class TestSolve:
         # eigenvalues of the fitted path stay nonnegative on [0, 1]
         lam = m.p[None, :] + np.outer(np.linspace(0, 1, 11), m.z)
         assert lam.min() >= -1e-12
+
+    @pytest.mark.parametrize("seeds", [0, -3])
+    def test_no_start_rejected(self, seeds):
+        data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES[:4], noise_amp=0.0)
+        with pytest.raises(ValueError, match="seeds"):
+            solve_regularization(data, seeds=seeds)
 
     def test_too_few_samples_rejected(self):
         data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), [0.1, 0.9], noise_amp=0.0)

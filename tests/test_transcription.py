@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_psd, random_skew
+from conftest import random_hermitian, random_psd, random_skew, random_unitary
 
 from denflow.geodesic import InfeasibleError, eval_path, path_cost, solve_geodesic
 from denflow.linalg import coords, expm_skew, frob_norm, herm_basis, skew_basis
@@ -226,23 +226,33 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_discrete_path(rho, rho, 1.0, steps=1)
 
-    @pytest.mark.parametrize("kw", [dict(max_rounds=0), dict(max_rounds=-1), dict(max_iters=-1)])
+    @pytest.mark.parametrize("kw", [dict(max_rounds=0), dict(max_rounds=-1), dict(max_iters=-1),
+                                    dict(tol_end=np.nan), dict(tol_end=-1.0)])
     def test_bad_budget_rejected(self, kw):
         rho = np.diag([0.5, 0.5]).astype(complex)
-        with pytest.raises(ValueError, match="max_"):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             solve_discrete_path(rho, rho, 1.0, steps=4, **kw)
 
 
 class TestGradient:
-    @pytest.mark.parametrize("n, N", [(2, 4), (3, 3)])
-    def test_matches_central_differences_of_the_objective(self, n, N):
-        # the batched suffix rollouts must give the same central differences
-        # as whole-path simulations perturbed one coordinate at a time
+    @pytest.mark.parametrize("n, N, spectrum", [
+        pytest.param(2, 4, None, id="2-4"),
+        pytest.param(3, 3, None, id="3-3"),
+        pytest.param(3, 3, (0.01, 0.01, 0.98), id="3-3-repeated"),
+    ])
+    def test_matches_central_differences_of_the_objective(self, n, N, spectrum):
+        # the reverse sweep must give the derivatives that whole-path
+        # simulations perturbed one coordinate at a time give
         # rho0 is nearly singular, so the path turns negative, and rho1 lies
-        # near the path's end: all three objective terms show in the gradient
+        # near the path's end: all three objective terms show in the gradient;
+        # a repeated eigenvalue of rho0 puts a 2x2 commutant block at step 0
         rng = np.random.default_rng(60)
-        rho0 = random_psd(rng, n)
-        rho0 += (0.02 - np.linalg.eigvalsh(rho0)[0]) * np.eye(n)
+        if spectrum is None:
+            rho0 = random_psd(rng, n)
+            rho0 += (0.02 - np.linalg.eigvalsh(rho0)[0]) * np.eye(n)
+        else:
+            Q = random_unitary(rng, n)
+            rho0 = (Q * np.array(spectrum)) @ Q.conj().T
         Xs = np.stack([random_skew(rng, n, 0.5) for _ in range(N)])
         u_raws = np.stack([random_hermitian(rng, n, 0.5) for _ in range(N)])
         D = random_hermitian(rng, n, 0.01)
