@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import golden
 
+import denflow.geodesic as geo
 from conftest import random_psd, random_unitary
 from denflow.geodesic import (
     CostBreakdown,
@@ -14,7 +15,14 @@ from denflow.geodesic import (
     sample_path,
     solve_geodesic,
 )
-from denflow.linalg import BranchAmbiguityError, commutator, expm_skew, frob_norm
+from denflow.linalg import (
+    BranchAmbiguityError,
+    commutator,
+    degeneracy_groups,
+    eig_hermitian,
+    expm_skew,
+    frob_norm,
+)
 
 
 def endpoint_residual(sol, rho0, rho1):
@@ -316,3 +324,109 @@ def test_path_cost_values():
     assert np.isclose(c.total, np.pi / np.sqrt(2))
     # the two 2x2 candidates tie exactly at epsilon = pi/2
     assert np.isclose((np.pi / 2) * np.sqrt(2), np.pi / np.sqrt(2), atol=1e-12)
+
+
+# --- best-first matching against exhaustive enumeration ----------------------
+
+
+def unit_trace_pair(rng, n, kind):
+    """Unit-trace endpoints: complex or real Wishart, or a Wishart rho0 with
+    a rho1 whose spectrum repeats one value 2 ("block") or 3 ("triple") times."""
+    if kind == "real":
+        B, C = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        rho0, rho1 = B @ B.T, C @ C.T
+    else:
+        rho0, rho1 = random_psd(rng, n), random_psd(rng, n)
+    if kind in ("block", "triple"):
+        w = rng.uniform(0.2, 1.0, size=n)
+        w[: 2 if kind == "block" else 3] = w[0]
+        Q = random_unitary(rng, n)
+        rho1 = Q @ np.diag(w) @ Q.conj().T
+        rho1 = (rho1 + rho1.conj().T) / 2
+    return (rho0 / np.trace(rho0).real).astype(complex), (rho1 / np.trace(rho1).real).astype(complex)
+
+
+# (kind, n, seed); every matching of each pair runs a gauge search, so n = 5
+# appears once
+EXHAUSTIVE_CASES = [("complex", n, 60 + n) for n in (2, 3, 4, 5)] + [
+    ("real", 2, 70), ("real", 3, 71), ("real", 4, 72),
+    ("block", 3, 80), ("block", 4, 81), ("triple", 4, 90),
+]
+
+
+@pytest.fixture(scope="module", params=EXHAUSTIVE_CASES, ids=lambda c: f"{c[0]}-n{c[1]}")
+def exhaustive(request):
+    """A pair and, per matching in enumeration order, (perm, gauge cost, ||z||)."""
+    kind, n, seed = request.param
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(seed), n, kind)
+    lam, U0 = eig_hermitian(rho0)
+    mu, U1 = eig_hermitian(rho1)
+    rows = []
+    for perm in itertools.permutations(range(n)):
+        P = np.zeros((n, n))
+        P[np.arange(n), perm] = 1.0
+        gcost, _ = geo._gauge_search(U0 @ P, U1, mu)
+        rows.append((perm, gcost, float(np.linalg.norm(mu[list(perm)] - lam))))
+    return rho0, rho1, rows
+
+
+def enumeration_fold(rows, eps):
+    """The documented tie rule over every matching: a strict improvement by
+    more than 1e-12 wins; at equal cost the smaller ||z|| wins."""
+    best = None
+    for perm, gcost, znorm in rows:
+        total = gcost + eps * znorm
+        if best is None or total < best[0] - 1e-12 or (
+            abs(total - best[0]) <= 1e-12 and znorm < best[1] - 1e-12
+        ):
+            best = (total, znorm, perm)
+    return best
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+def test_best_first_matches_exhaustive_enumeration(exhaustive, eps):
+    rho0, rho1, rows = exhaustive
+    total, _, perm = enumeration_fold(rows, eps)
+    sol = solve_geodesic(rho0, rho1, eps)
+    assert sol.permutation == perm
+    assert abs(sol.cost_total - total) <= 1e-12
+
+
+def test_chordal_bound_never_exceeds_gauge_cost(exhaustive):
+    rho0, rho1, rows = exhaustive
+    _, U0 = eig_hermitian(rho0)
+    mu, U1 = eig_hermitian(rho1)
+    groups = geo._group_slices(degeneracy_groups(mu, 1e-8))
+    perms = np.array([perm for perm, _, _ in rows])
+    bounds = geo._matching_bounds(U0, U1, perms, groups)
+    gcosts = np.array([gcost for _, gcost, _ in rows])
+    assert np.all(bounds <= gcosts + geo._BOUND_SLACK)
+
+
+def test_bound_prunes_most_matchings_at_n6(monkeypatch):
+    rng = np.random.default_rng(1)
+    rho0, rho1 = unit_trace_pair(rng, 6, "complex")
+    calls = []
+    search = geo._gauge_search
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "_gauge_search", counting)
+    solve_geodesic(rho0, rho1, 1.0)
+    assert 1 <= len(calls) <= 72  # of 720 matchings
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("n, kind", [(2, "complex"), (3, "complex"), (3, "real"), (4, "complex")])
+def test_eigenvalues_move_linearly_without_push_pop(n, kind, eps):
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(100 + n), n, kind)
+    sol = solve_geodesic(rho0, rho1, eps)
+    lam = np.linalg.eigh(rho0)[0]
+    mu = np.linalg.eigvalsh(rho1)
+    z = mu[list(sol.permutation)] - lam
+    ts = np.linspace(0.0, 1.0, 21)
+    got = np.linalg.eigvalsh(sample_path(sol, rho0, ts))
+    want = np.sort(lam[None, :] + ts[:, None] * z[None, :], axis=1)
+    assert np.abs(got - want).max() <= 1e-10
