@@ -24,10 +24,23 @@ lower bound on each matching's total cost; all n! bounds are computed at
 once, gauge searches run in ascending-bound order, and the search stops
 at the first matching whose bound exceeds the best cost found.  No
 skipped matching could have won.
+
+The gauge search is coordinate descent over one-parameter subgroups
+e^{aS} of the gauge group (Absil, Mahony & Sepulchre 2008, ch. 4).  Each
+generator S is a column phase i E_kk or, inside a degenerate group, a
+real rotation E_lk - E_kl or an imaginary one i(E_lk + E_kl).  All of them
+satisfy S^3 = -S, so e^{aS} = I + sin(a) S + (1 - cos a) S^2 (Rodrigues),
+and the Hermitian part of U1 Theta e^{aS} U0'*, whose eigenvalues are the
+cosines of the rotation's phases, is a pencil H0 + sin(a) H1 +
+(1 - cos a) H2 fixed per coordinate.  Scoring a step then takes two scaled
+adds and one ``eigvalsh``.  The pencil has period 2 pi in a, which lets
+the golden-section refinement stop at an absolute width (see
+``_gauge_search``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -85,6 +98,15 @@ class GeodesicSolution:
     cost_total: float
 
 
+def _phase_norm(H: np.ndarray):
+    """sqrt(sum of arccos(c)^2) over the eigenvalues c of a Hermitian H, or
+    of each of a stack: ||log Q||_F when H is the Hermitian part of a
+    unitary Q, whose eigenvalues are the cosines of its phases."""
+    c = np.linalg.eigvalsh(H)
+    # minimum/maximum rather than np.clip, which costs twice as much per call
+    return np.sqrt((np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)) ** 2).sum(axis=-1))
+
+
 def _log_norm(Q: np.ndarray):
     """||log Q||_F for a unitary Q, or for each of a stack, via |phase| =
     arccos of the cosine eigenvalues.
@@ -94,8 +116,7 @@ def _log_norm(Q: np.ndarray):
     to ~sqrt(eps) for phases near zero (arccos near 1), which only matters
     below any tolerance used here.
     """
-    c = np.linalg.eigvalsh(hermitian_part(Q))
-    return np.sqrt((np.arccos(np.clip(c, -1.0, 1.0)) ** 2).sum(axis=-1))
+    return _phase_norm(hermitian_part(Q))
 
 
 def _group_slices(labels: np.ndarray) -> list[np.ndarray]:
@@ -116,27 +137,31 @@ def _polar_init(G: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
     return Theta
 
 
-def _apply_gauge(Theta: np.ndarray, coord: tuple, a: float) -> np.ndarray:
-    """Right-multiply Theta by a one-parameter gauge element."""
-    out = Theta.copy()
-    if coord[0] == "ph":
-        out[:, coord[1]] *= np.exp(1j * a)
-        return out
-    _, k, l = coord
-    ck, cl = Theta[:, k].copy(), Theta[:, l].copy()
-    c, s = np.cos(a), np.sin(a)
-    if coord[0] == "re":
-        out[:, k] = c * ck + s * cl
-        out[:, l] = -s * ck + c * cl
-    else:  # "im"
-        out[:, k] = c * ck + 1j * s * cl
-        out[:, l] = 1j * s * ck + c * cl
-    return out
-
-
 _GRID = np.linspace(-np.pi, np.pi, 25)
 _GAUGE_ROUNDS = 3  # coordinate sweeps per start of the gauge search
 _SIGN_LIMIT = 12  # largest n whose 2^n real sign patterns are scored for a start
+
+
+@functools.lru_cache(maxsize=64)
+def _gauge_generators(labels: tuple[int, ...]) -> np.ndarray:
+    """Skew generators (m, n, n), read-only, of the gauge group of a spectrum
+    with these degeneracy labels: a phase i E_kk per column, then per pair
+    k < l of a group the rotations E_lk - E_kl and i(E_lk + E_kl)."""
+    n = len(labels)
+    E = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
+    gens = [1j * E[k, k] for k in range(n)]
+    for k, l in itertools.combinations(range(n), 2):
+        if labels[k] == labels[l]:
+            gens += [E[l, k] - E[k, l], 1j * (E[l, k] + E[k, l])]
+    out = np.array(gens)
+    out.flags.writeable = False
+    return out
+
+
+def _pencil(P: np.ndarray, a) -> np.ndarray:
+    """P[0] + sin(a) P[1] + (1 - cos a) P[2] at a step a, or at each of an
+    array of steps: Theta e^{aS} for P = (Theta, Theta S, Theta S^2)."""
+    return P[0] + np.multiply.outer(np.sin(a), P[1]) + np.multiply.outer(1.0 - np.cos(a), P[2])
 
 
 def _gauge_search(
@@ -146,27 +171,24 @@ def _gauge_search(
     degeneracy_tol: float = 1e-8,
 ) -> tuple[float, np.ndarray]:
     """Minimize ||log(U1 Theta U0p*)||_F over gauges Theta commuting with
-    diag(spectrum).  Returns (cost, Theta)."""
+    diag(spectrum).  Returns (cost, Theta).
+
+    Coordinate descent from the blockwise polar factor, the identity and
+    (for real frames) the best real sign pattern along ``_gauge_generators``.
+    Per coordinate S the pencil of Herm(U1 Theta e^{aS} U0p*) is formed once;
+    a grid over [-pi, pi] brackets the best step and ``golden`` refines it one
+    period (2 pi) up, where its relative stop |x3 - x0| <= tol (|x1| + |x2|)
+    closes at ~1e-6 rad instead of chasing rounding and arccos noise near 0.
+    """
     n = U0p.shape[0]
     U0pH = U0p.conj().T
     labels = degeneracy_groups(np.asarray(spectrum, dtype=float), degeneracy_tol)
-    groups = _group_slices(labels)
-
-    def cost_of(Theta):
-        return _log_norm(U1 @ Theta @ U0pH)
-
-    coords: list[tuple] = [("ph", k) for k in range(n)]
-    for idx in groups:
-        for a_, b_ in itertools.combinations(idx.tolist(), 2):
-            coords.append(("re", a_, b_))
-            coords.append(("im", a_, b_))
+    gens = _gauge_generators(tuple(labels.tolist()))
 
     G = U1.conj().T @ U0p
-    starts = [_polar_init(G, groups), np.eye(n, dtype=complex)]
+    starts = [_polar_init(G, _group_slices(labels)), np.eye(n, dtype=complex)]
 
-    real_inputs = (
-        np.max(np.abs(U0p.imag)) <= 1e-12 and np.max(np.abs(U1.imag)) <= 1e-12
-    )
+    real_inputs = np.abs(U0p.imag).max() <= 1e-12 and np.abs(U1.imag).max() <= 1e-12
     if real_inputs and n <= _SIGN_LIMIT:
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
         cands = np.zeros((len(signs), n, n), dtype=complex)
@@ -176,35 +198,42 @@ def _gauge_search(
         j = int(np.argmin(costs))
         starts.append(cands[j])
 
+    h = _GRID[1] - _GRID[0]
     best_cost, best_Theta = np.inf, None
-    for Theta0 in starts:
-        Theta = Theta0.copy()
-        cur = cost_of(Theta)
+    for Theta in starts:
+        cur = _log_norm(U1 @ Theta @ U0pH)
         for _ in range(_GAUGE_ROUNDS):
             improved = False
-            for coord in coords:
-                f = lambda a: cost_of(_apply_gauge(Theta, coord, a))
-                cands = np.stack([_apply_gauge(Theta, coord, a) for a in _GRID])
-                vals = _log_norm(U1 @ cands @ U0pH)
+            for S in gens:
+                steps = np.stack([Theta, Theta @ S, Theta @ S @ S])
+                P = hermitian_part(U1 @ steps @ U0pH)
+                vals = _phase_norm(_pencil(P, _GRID))
                 j = int(np.argmin(vals))
-                h = _GRID[1] - _GRID[0]
+                b = _GRID[j] + 2 * np.pi
                 xmin, fmin, _ = golden(
-                    f, brack=(_GRID[j] - h, _GRID[j], _GRID[j] + h),
-                    tol=1e-10, full_output=True,
+                    lambda a: _phase_norm(_pencil(P, a)), brack=(b - h, b, b + h),
+                    tol=1e-7, full_output=True,
                 )
                 if vals[j] < fmin:
-                    xmin, fmin = float(_GRID[j]), float(vals[j])
+                    xmin, fmin = _GRID[j], vals[j]
                 # acceptance threshold sits above the ~sqrt(eps) noise
                 # floor of the arccos-based score near zero phases
                 if fmin < cur - 1e-9:
-                    Theta = _apply_gauge(Theta, coord, float(xmin))
-                    cur = fmin
+                    Theta = _pencil(steps, xmin)
+                    cur = float(fmin)
                     improved = True
             if not improved:
                 break
         if cur < best_cost - _TIE:
             best_cost, best_Theta = cur, Theta
     return best_cost, best_Theta
+
+
+def _check_degeneracy_tol(degeneracy_tol: float) -> None:
+    # NaN or inf would merge every eigenvalue into one group, and the
+    # gauge would then no longer commute with the matched spectrum
+    if not (np.isfinite(degeneracy_tol) and degeneracy_tol >= 0):
+        raise ValueError(f"degeneracy_tol must be finite and nonnegative, got {degeneracy_tol}")
 
 
 def minimal_rotation(
@@ -218,10 +247,14 @@ def minimal_rotation(
     Columns of U0p and U1 must pair identical ``spectrum`` entries.  The
     residual freedom — unitaries commuting with diag(spectrum): per-column
     phases, full blocks on repeated entries, and diagonal sign patterns for
-    real frames — is searched to minimize the log norm.  Raises
+    real frames — is searched to minimize the log norm, one coordinate at
+    a time along the one-parameter subgroups e^{aS} of a column phase or
+    of a real or imaginary rotation inside a block (see ``_gauge_search``).
+    Raises ValueError for a negative or non-finite ``degeneracy_tol``, and
     BranchAmbiguityError if the optimal alignment has an eigenphase at the
     principal-branch cut (callers may retry via a gauge nudge).
     """
+    _check_degeneracy_tol(degeneracy_tol)
     _, Theta = _gauge_search(U0p, U1, spectrum, degeneracy_tol)
     return logm_unitary(U1 @ Theta @ U0p.conj().T)
 
@@ -276,7 +309,9 @@ def solve_geodesic(
     rho0 to rho1 along e^{Xt}(rho0 + Zt)e^{-Xt}.
 
     Endpoints must be Hermitian PSD with equal traces (a commuting
-    traceless drift cannot change the trace).  For n <= ``max_enum``
+    traceless drift cannot change the trace); an endpoint with an
+    eigenvalue below -1e-10 max(1, ||rho||_F) raises ValueError, as does a
+    negative or non-finite ``degeneracy_tol``.  For n <= ``max_enum``
     (default 7) the eigenvalue matching is exact: every matching gets the
     chordal lower bound sqrt(max(2n - 2 S, 0)) + epsilon ||z|| (see
     ``_matching_bounds``), gauge searches run in ascending-bound order, and
@@ -299,12 +334,17 @@ def solve_geodesic(
         )
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    _check_degeneracy_tol(degeneracy_tol)
     if max_enum is None:
         max_enum = 7
 
     n = rho0.shape[0]
     lam, U0 = eig_hermitian(rho0)
     mu, U1 = eig_hermitian(rho1)
+    for name, rho, w in (("rho0", rho0, lam), ("rho1", rho1, mu)):
+        # relative, so that rank-deficient endpoints stay accepted
+        if w[0] < -1e-10 * max(1.0, frob_norm(rho)):
+            raise ValueError(f"{name} is not PSD: smallest eigenvalue {w[0]:.6g}")
 
     groups = _group_slices(degeneracy_groups(mu, degeneracy_tol))
 
@@ -391,6 +431,8 @@ def eval_path(sol: GeodesicSolution, rho0: np.ndarray, t: float) -> np.ndarray:
 def sample_path(sol: GeodesicSolution, rho0: np.ndarray, times) -> np.ndarray:
     """Path evaluated at many times from a single eigendecomposition of X."""
     ts = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("path times must be finite")
     U = expm_skew_times(sol.X, ts)
     core = np.asarray(rho0, dtype=complex) + sol.Z * ts[:, None, None]
     return hermitian_part(U @ core @ dagger(U))

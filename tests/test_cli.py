@@ -241,6 +241,18 @@ class TestInterpolate:
             main(["interpolate", "--epsilon", "1"])
         assert exc.value.code == 3
 
+    def test_non_psd_endpoint_exits_3(self, docs, tmp_path):
+        # Hermitian with trace 1, so only the PSD check can reject it
+        save_matrix(tmp_path / "neg.json", np.diag([1.5, -0.5]).astype(complex))
+        out = tmp_path / "o"
+        code = main([
+            "interpolate", "--rho0", str(tmp_path / "neg.json"),
+            "--rho1", str(docs / "rho1.json"), "--epsilon", "1", "--quiet",
+            "--out", str(out),
+        ])
+        assert code == 3
+        assert not (out / "solution.json").exists()
+
 
 class TestPath:
     def test_report_and_controls(self, docs):
@@ -304,6 +316,17 @@ class TestPath:
             "path", "--rho0", str(docs / "rho0.json"),
             "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
             "--steps", "4", "--max-rounds", "0", "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert not (out / "report.json").exists()
+
+    def test_non_psd_endpoint_exits_3(self, docs, tmp_path):
+        save_matrix(tmp_path / "neg.json", np.diag([-0.5, 1.5]).astype(complex))
+        out = docs / "run"
+        code = main([
+            "path", "--rho0", str(docs / "rho0.json"),
+            "--rho1", str(tmp_path / "neg.json"), "--epsilon", "1",
+            "--steps", "4", "--out", str(out), "--quiet",
         ])
         assert code == 3
         assert not (out / "report.json").exists()

@@ -1,7 +1,9 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import golden
 
 import denflow.geodesic as geo
@@ -22,6 +24,7 @@ from denflow.linalg import (
     eig_hermitian,
     expm_skew,
     frob_norm,
+    hermitian_part,
 )
 
 
@@ -430,3 +433,159 @@ def test_eigenvalues_move_linearly_without_push_pop(n, kind, eps):
     got = np.linalg.eigvalsh(sample_path(sol, rho0, ts))
     want = np.sort(lam[None, :] + ts[:, None] * z[None, :], axis=1)
     assert np.abs(got - want).max() <= 1e-10
+
+
+# --- input contract ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_bad_degeneracy_tol_rejected(tol):
+    rho0 = np.diag([0.7, 0.3]).astype(complex)
+    rho1 = np.diag([0.4, 0.6]).astype(complex)
+    with pytest.raises(ValueError, match="degeneracy_tol"):
+        solve_geodesic(rho0, rho1, 1.0, degeneracy_tol=tol)
+    U = random_unitary(np.random.default_rng(48), 3)
+    with pytest.raises(ValueError, match="degeneracy_tol"):
+        minimal_rotation(U, U, np.array([1.0, 2.0, 3.0]), degeneracy_tol=tol)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_non_psd_endpoint_rejected(which):
+    pair = [np.diag([0.5, 0.5]).astype(complex), np.diag([1.5, -0.5]).astype(complex)]
+    with pytest.raises(ValueError, match="not PSD"):
+        solve_geodesic(pair[which], pair[1 - which], 1.0)
+
+
+def test_psd_check_is_relative_to_the_endpoint_scale():
+    # a rounding-level negative eigenvalue on a rank-deficient endpoint is kept
+    rho0 = np.diag([1.0 + 1e-12, -1e-12]).astype(complex)
+    rho1 = np.diag([0.0, 1.0]).astype(complex)
+    sol = solve_geodesic(rho0, rho1, 10.0)
+    assert abs(sol.cost_rotation - np.pi / np.sqrt(2)) <= 1e-6
+    # on a large endpoint the same threshold scales with ||rho||_F
+    big = 1e4 * np.diag([1.0, 1e-12]).astype(complex)
+    solve_geodesic(big - 1e-7 * np.diag([0.0, 1.0]), big[::-1, ::-1].copy(), 1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_rejected(t):
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    sol = solve_geodesic(rho0, np.diag([0.0, 1.0]).astype(complex), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        sample_path(sol, rho0, [0.0, t, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # inf is also outside [0, 1]
+            eval_path(sol, rho0, t)
+
+
+# --- the Rodrigues pencil of the gauge search --------------------------------
+
+PENCIL_STEPS = [0.0, 1e-9, 0.3, np.pi / 2, np.pi, -np.pi, 2 * np.pi + 0.3]
+# phases only; a 2x2 block after a simple value; one triple
+GENERATOR_LABELS = [(0, 1, 2), (0, 1, 1), (0, 0, 0)]
+
+
+def test_generators_are_the_gauge_coordinates():
+    gens = geo._gauge_generators((0, 1, 1))
+    assert len(gens) == 3 + 2  # three phases, one real and one imaginary rotation
+    assert not gens.flags.writeable
+    assert len(geo._gauge_generators((0, 0, 0))) == 3 + 2 * 3
+    D = np.diag([0.1, 0.6, 0.6])  # a spectrum with these labels
+    for S in gens:
+        assert np.array_equal(S, -S.conj().T)
+        assert np.array_equal(S @ D, D @ S)
+
+
+@pytest.mark.parametrize("labels", GENERATOR_LABELS, ids=str)
+def test_rodrigues_pencil_is_the_exponential(labels):
+    for S in geo._gauge_generators(labels):
+        assert np.abs(S @ S @ S + S).max() <= 1e-15
+        steps = np.stack([np.eye(len(labels)), S, S @ S])
+        for a in PENCIL_STEPS:
+            got = geo._pencil(steps, a)
+            assert np.abs(got - scipy.linalg.expm(a * S)).max() <= 1e-13, a
+        grid = geo._pencil(steps, np.array(PENCIL_STEPS))
+        assert np.array_equal(grid, [geo._pencil(steps, a) for a in PENCIL_STEPS])
+
+
+@pytest.mark.parametrize("labels", GENERATOR_LABELS, ids=str)
+def test_line_function_is_the_log_norm_along_the_subgroup(labels):
+    rng = np.random.default_rng(49)
+    U0p, U1, Theta = (random_unitary(rng, 3) for _ in range(3))
+    for S in geo._gauge_generators(labels):
+        steps = np.stack([Theta, Theta @ S, Theta @ S @ S])
+        P = hermitian_part(U1 @ steps @ U0p.conj().T)
+        for a in PENCIL_STEPS:
+            want = geo._log_norm(U1 @ Theta @ scipy.linalg.expm(a * S) @ U0p.conj().T)
+            assert abs(geo._phase_norm(geo._pencil(P, a)) - want) <= 1e-12, a
+
+
+def test_gauge_search_line_search_scores_the_subgroup(monkeypatch):
+    # the first line search runs from the polar start along the first phase;
+    # that start leaves an eigenphase at 0, which a = +-pi turns into one at
+    # pi, where the arccos score is accurate only to ~sqrt(eps)
+    steps = [a for a in PENCIL_STEPS if abs(abs(a) - np.pi) > 0.1]
+    rng = np.random.default_rng(50)
+    U0p, U1 = random_unitary(rng, 3), random_unitary(rng, 3)
+    spectrum = np.array([0.2, 0.2, 0.6])
+    seen = []  # the line function of each call, at a and at a + 2 pi
+
+    def recording(func, **kwargs):
+        seen.append([(func(a), func(a + 2 * np.pi)) for a in steps])
+        return golden(func, **kwargs)
+
+    monkeypatch.setattr(geo, "golden", recording)
+    geo._gauge_search(U0p, U1, spectrum)
+    groups = geo._group_slices(degeneracy_groups(spectrum))
+    Theta = geo._polar_init(U1.conj().T @ U0p, groups)
+    S = geo._gauge_generators((0, 0, 1))[0]
+    for a, (got, shifted) in zip(steps, seen[0]):
+        want = geo._log_norm(U1 @ Theta @ scipy.linalg.expm(a * S) @ U0p.conj().T)
+        assert abs(got - want) <= 1e-12, a
+        assert abs(shifted - want) <= 1e-12, a
+
+
+# --- metamorphic oracles on the optimal cost C(epsilon) ------------------------
+
+ORACLE_EPS = np.array([0.0, 0.1, 0.3, 1.0, 3.0, 10.0])
+# (kind, n, seed): two seeded pairs per kind and size
+ORACLE_CASES = [(k, n, s) for k in ("complex", "real") for n in (2, 3, 4) for s in (1, 2)]
+
+
+@pytest.fixture(scope="module", params=ORACLE_CASES, ids=lambda c: f"{c[0]}-n{c[1]}-s{c[2]}")
+def oracle_costs(request):
+    """C on ORACLE_EPS for the pair, for the pair conjugated by a Haar unitary
+    V, and for the swapped pair."""
+    kind, n, seed = request.param
+    rng = np.random.default_rng(10 * seed + n + (0 if kind == "complex" else 5))
+    rho0, rho1 = unit_trace_pair(rng, n, kind)
+    V = random_unitary(rng, n)
+
+    def costs(a, b):
+        return np.array([solve_geodesic(a, b, eps).cost_total for eps in ORACLE_EPS])
+
+    conj = [V @ rho @ V.conj().T for rho in (rho0, rho1)]
+    return costs(rho0, rho1), costs(*conj), costs(rho1, rho0)
+
+
+def test_cost_is_nondecreasing_in_epsilon(oracle_costs):
+    C, _, _ = oracle_costs
+    assert np.diff(C).min() >= -1e-12
+
+
+def test_cost_is_concave_in_epsilon(oracle_costs):
+    # C is a minimum over matchings of affine functions of epsilon
+    C, _, _ = oracle_costs
+    slopes = np.diff(C) / np.diff(ORACLE_EPS)
+    assert (np.diff(slopes) / (ORACLE_EPS[2:] - ORACLE_EPS[:-2])).max() <= 1e-12
+
+
+def test_cost_is_invariant_under_unitary_conjugation(oracle_costs):
+    C, C_conj, _ = oracle_costs
+    assert np.abs(C_conj - C).max() <= 1e-8
+
+
+def test_cost_is_invariant_under_swapping_the_endpoints(oracle_costs):
+    C, _, C_swap = oracle_costs
+    assert np.abs(C_swap - C).max() <= 2e-8
