@@ -222,15 +222,19 @@ def _write_sampled_path(out_dir, times, states, fmt, glyphs, stem="path"):
 
 
 def parse_times(text: str) -> np.ndarray:
-    """Either 'start:step:stop' (inclusive grid) or a comma list of times."""
+    """Either 'start:step:stop' (inclusive grid) or a comma list of finite times."""
     try:
-        if ":" in text:
-            start, step_, stop = (float(x) for x in text.split(":"))
-            if step_ <= 0 or stop < start:
-                raise ValueError("need step > 0 and stop >= start")
-            count = int(round((stop - start) / step_)) + 1
-            return np.round(start + step_ * np.arange(count), 12)
-        return np.array([float(x) for x in text.split(",")], dtype=float)
+        grid = ":" in text
+        values = np.array([float(x) for x in text.split(":" if grid else ",")])
+        if not np.all(np.isfinite(values)):
+            raise ValueError("times must be finite")
+        if not grid:
+            return values
+        start, step_, stop = values
+        if step_ <= 0 or stop < start:
+            raise ValueError("need step > 0 and stop >= start")
+        count = int(round((stop - start) / step_)) + 1
+        return np.round(start + step_ * np.arange(count), 12)
     except ValueError as exc:
         raise DocumentError(f"bad --times specification '{text}': {exc}") from None
 
@@ -253,7 +257,7 @@ def _ensure_out(ns) -> str:
 def cmd_interpolate(ns) -> int:
     rho0 = load_matrix(ns.rho0)
     rho1 = load_matrix(ns.rho1)
-    sol = solve_geodesic(rho0, rho1, ns.epsilon, max_enum=ns.max_enum)
+    sol = solve_geodesic(rho0, rho1, ns.epsilon)
     out = _ensure_out(ns)
     _write_json(
         os.path.join(out, "solution.json"),
@@ -285,7 +289,6 @@ def cmd_path(ns) -> int:
     dp = solve_discrete_path(
         rho0, rho1, ns.epsilon,
         steps=ns.steps, tol_end=ns.tol_end, max_rounds=ns.max_rounds,
-        max_enum=ns.max_enum,
     )
     out = _ensure_out(ns)
     _write_json(
@@ -435,8 +438,6 @@ def _add_endpoint_flags(sub):
     sub.add_argument("--rho1", required=True, help="target state document")
     sub.add_argument("--epsilon", type=float, required=True,
                      help="scaling-cost weight in the objective")
-    sub.add_argument("--max-enum", type=int, default=None, dest="max_enum",
-                     help="exhaustive spectral-matching cap (default 7)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="sampled-path format (default csv)")
     sub.add_argument("--glyphs", action="store_true",

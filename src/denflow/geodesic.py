@@ -63,9 +63,11 @@ from .linalg import (
 
 _TIE = 1e-12
 # a matching is searched unless its lower bound exceeds the incumbent cost by
-# more than this; it covers the ~1e-8 arccos noise floor of _log_norm, which
-# can put a computed gauge cost slightly below the exact chordal bound
+# more than this; it covers the ~1e-8 arccos noise floor of _log_norm at
+# eigenphases near 0 and near +-pi, which can put a computed gauge cost
+# slightly below the exact chordal bound
 _BOUND_SLACK = 1e-7
+_MAX_ENUM = 7  # largest n whose n! matchings are searched exactly
 
 
 class InfeasibleError(ValueError):
@@ -113,8 +115,9 @@ def _log_norm(Q: np.ndarray):
 
     Only phase magnitudes enter the norm, so the Hermitian part of Q
     suffices; no branch bookkeeping is needed.  Absolute accuracy degrades
-    to ~sqrt(eps) for phases near zero (arccos near 1), which only matters
-    below any tolerance used here.
+    to ~sqrt(eps) for phases near zero and near +-pi, where the cosine is
+    near +-1 and d arccos/dc is unbounded; that only matters below any
+    tolerance used here.
     """
     return _phase_norm(hermitian_part(Q))
 
@@ -164,12 +167,7 @@ def _pencil(P: np.ndarray, a) -> np.ndarray:
     return P[0] + np.multiply.outer(np.sin(a), P[1]) + np.multiply.outer(1.0 - np.cos(a), P[2])
 
 
-def _gauge_search(
-    U0p: np.ndarray,
-    U1: np.ndarray,
-    spectrum: np.ndarray,
-    degeneracy_tol: float = 1e-8,
-) -> tuple[float, np.ndarray]:
+def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimize ||log(U1 Theta U0p*)||_F over gauges Theta commuting with
     diag(spectrum).  Returns (cost, Theta).
 
@@ -178,11 +176,11 @@ def _gauge_search(
     Per coordinate S the pencil of Herm(U1 Theta e^{aS} U0p*) is formed once;
     a grid over [-pi, pi] brackets the best step and ``golden`` refines it one
     period (2 pi) up, where its relative stop |x3 - x0| <= tol (|x1| + |x2|)
-    closes at ~1e-6 rad instead of chasing rounding and arccos noise near 0.
+    closes at ~1e-6 rad instead of chasing rounding and arccos noise.
     """
     n = U0p.shape[0]
     U0pH = U0p.conj().T
-    labels = degeneracy_groups(np.asarray(spectrum, dtype=float), degeneracy_tol)
+    labels = degeneracy_groups(spectrum)
     gens = _gauge_generators(tuple(labels.tolist()))
 
     G = U1.conj().T @ U0p
@@ -216,8 +214,8 @@ def _gauge_search(
                 )
                 if vals[j] < fmin:
                     xmin, fmin = _GRID[j], vals[j]
-                # acceptance threshold sits above the ~sqrt(eps) noise
-                # floor of the arccos-based score near zero phases
+                # acceptance threshold sits above the ~sqrt(eps) noise floor
+                # of the arccos-based score at phases near 0 and near +-pi
                 if fmin < cur - 1e-9:
                     Theta = _pencil(steps, xmin)
                     cur = float(fmin)
@@ -229,19 +227,7 @@ def _gauge_search(
     return best_cost, best_Theta
 
 
-def _check_degeneracy_tol(degeneracy_tol: float) -> None:
-    # NaN or inf would merge every eigenvalue into one group, and the
-    # gauge would then no longer commute with the matched spectrum
-    if not (np.isfinite(degeneracy_tol) and degeneracy_tol >= 0):
-        raise ValueError(f"degeneracy_tol must be finite and nonnegative, got {degeneracy_tol}")
-
-
-def minimal_rotation(
-    U0p: np.ndarray,
-    U1: np.ndarray,
-    spectrum: np.ndarray,
-    degeneracy_tol: float = 1e-8,
-) -> np.ndarray:
+def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Smallest-norm X with e^X mapping the frame U0p onto U1 up to gauge.
 
     Columns of U0p and U1 must pair identical ``spectrum`` entries.  The
@@ -250,12 +236,11 @@ def minimal_rotation(
     real frames — is searched to minimize the log norm, one coordinate at
     a time along the one-parameter subgroups e^{aS} of a column phase or
     of a real or imaginary rotation inside a block (see ``_gauge_search``).
-    Raises ValueError for a negative or non-finite ``degeneracy_tol``, and
+    Repeated entries are grouped by ``linalg.degeneracy_groups``.  Raises
     BranchAmbiguityError if the optimal alignment has an eigenphase at the
     principal-branch cut (callers may retry via a gauge nudge).
     """
-    _check_degeneracy_tol(degeneracy_tol)
-    _, Theta = _gauge_search(U0p, U1, spectrum, degeneracy_tol)
+    _, Theta = _gauge_search(U0p, U1, spectrum)
     return logm_unitary(U1 @ Theta @ U0p.conj().T)
 
 
@@ -298,24 +283,18 @@ def _local_matching(lam, mu, n, eval_total):
     return tuple(perm)
 
 
-def solve_geodesic(
-    rho0: np.ndarray,
-    rho1: np.ndarray,
-    epsilon: float,
-    max_enum: int | None = None,
-    degeneracy_tol: float = 1e-8,
-) -> GeodesicSolution:
+def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> GeodesicSolution:
     """Minimize ||X||_F + epsilon*||Z||_F over constant controls joining
     rho0 to rho1 along e^{Xt}(rho0 + Zt)e^{-Xt}.
 
     Endpoints must be Hermitian PSD with equal traces (a commuting
     traceless drift cannot change the trace); an endpoint with an
     eigenvalue below -1e-10 max(1, ||rho||_F) raises ValueError, as does a
-    negative or non-finite ``degeneracy_tol``.  For n <= ``max_enum``
-    (default 7) the eigenvalue matching is exact: every matching gets the
-    chordal lower bound sqrt(max(2n - 2 S, 0)) + epsilon ||z|| (see
-    ``_matching_bounds``), gauge searches run in ascending-bound order, and
-    they stop once a bound exceeds the best cost found.  Larger problems
+    negative or non-finite epsilon.  For n <= ``_MAX_ENUM`` = 7 the
+    eigenvalue matching is exact: every matching gets the chordal lower
+    bound sqrt(max(2n - 2 S, 0)) + epsilon ||z|| (see ``_matching_bounds``),
+    gauge searches run in ascending-bound order, and they stop once a
+    bound exceeds the best cost found.  Larger problems
     fall back to an assignment seed refined by 2-swap local search.  Ties
     are broken by matching enumeration order, preferring smaller ||Z|| at
     equal cost.
@@ -334,9 +313,6 @@ def solve_geodesic(
         )
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    _check_degeneracy_tol(degeneracy_tol)
-    if max_enum is None:
-        max_enum = 7
 
     n = rho0.shape[0]
     lam, U0 = eig_hermitian(rho0)
@@ -346,7 +322,7 @@ def solve_geodesic(
         if w[0] < -1e-10 * max(1.0, frob_norm(rho)):
             raise ValueError(f"{name} is not PSD: smallest eigenvalue {w[0]:.6g}")
 
-    groups = _group_slices(degeneracy_groups(mu, degeneracy_tol))
+    groups = _group_slices(degeneracy_groups(mu))
 
     def frame_for(perm):
         P = np.zeros((n, n))
@@ -357,7 +333,7 @@ def solve_geodesic(
         z = mu[list(perm)] - lam
         znorm = float(np.linalg.norm(z))
         U0p = frame_for(perm)
-        gcost, Theta = _gauge_search(U0p, U1, mu, degeneracy_tol)
+        gcost, Theta = _gauge_search(U0p, U1, mu)
         return gcost + epsilon * znorm, znorm, perm, z, U0p, Theta
 
     def eval_total(perm):
@@ -367,7 +343,7 @@ def solve_geodesic(
         Theta = _polar_init(U1.conj().T @ U0p, groups)
         return _log_norm(U1 @ Theta @ U0p.conj().T) + epsilon * float(np.linalg.norm(z))
 
-    if n <= max_enum:
+    if n <= _MAX_ENUM:
         matchings = list(itertools.permutations(range(n)))
         perms = np.array(matchings)
         bounds = _matching_bounds(U0, U1, perms, groups)

@@ -9,8 +9,10 @@ eigenvalues accept single matrices and ``(..., n, n)`` stacks alike.  The
 adjoint of the derivative of those propagators (summed over times), the
 principal logarithm of unitary matrices, commutators, the Frobenius (trace)
 inner product and coordinate bases of the (skew-)Hermitian matrices complete
-the set.  Matrices are plain ``numpy`` arrays of ``complex`` dtype; targeted
-sizes are n ~ 2..10.
+the set.  The unitary eigendecomposition behind the logarithm is read off
+a complex Schur form, and ``degeneracy_groups`` holds the one rule for
+which eigenvalues count as degenerate.  Matrices are plain ``numpy``
+arrays of ``complex`` dtype; targeted sizes are n ~ 2..10.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import schur
+
+_DEGENERACY_TOL = 1e-8  # relative eigenvalue gap below which values are one group
+_BRANCH_TOL = 1e-8  # eigenphases this close to -pi are ambiguous for the log
 
 
 class BranchAmbiguityError(ValueError):
@@ -202,59 +208,45 @@ def expm_skew_times_adjoint(X: np.ndarray, times, Y) -> np.ndarray:
     return W @ (t * np.conj(phi) * Yw).sum(axis=0) @ dagger(W)
 
 
-def eig_unitary(Q: np.ndarray, cluster_tol: float = 1e-6) -> EigenDecomposition:
+def eig_unitary(Q: np.ndarray) -> EigenDecomposition:
     """Eigenphases (in (-pi, pi], ascending) and eigenvectors of a unitary Q.
 
-    Diagonalizes the commuting Hermitian pair (Q+Q*)/2 and (Q-Q*)/2i
-    jointly: eigenspaces of the cosine part are refined by the sine part,
-    which separates phases +t and -t that share a cosine.
+    The complex Schur form of a normal matrix is diagonal, so its Schur
+    vectors are orthonormal eigenvectors even where eigenphases cluster
+    (Higham 2008, Functions of Matrices, sec. 11), and the phases are the
+    angles of its diagonal.
     """
-    Q = np.asarray(Q, dtype=complex)
-    n = Q.shape[0]
-    C = hermitian_part(Q)
-    S = hermitian_part((Q - Q.conj().T) / 2j)
-    cvals, W = eig_hermitian(C)
-    W = W.copy()
-
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and cvals[stop] - cvals[start] <= cluster_tol:
-            stop += 1
-        if stop - start > 1:
-            block = W[:, start:stop]
-            B = hermitian_part(block.conj().T @ S @ block)
-            _, U = eig_hermitian(B)
-            W[:, start:stop] = block @ U
-        start = stop
-
-    cos = np.einsum("ik,ik->k", W.conj(), C @ W).real
-    sin = np.einsum("ik,ik->k", W.conj(), S @ W).real
-    phases = np.arctan2(sin, cos)
+    T, W = schur(np.asarray(Q, dtype=complex), output="complex")
+    phases = np.angle(np.diagonal(T))
     order = np.argsort(phases, kind="stable")
     return EigenDecomposition(phases[order], _phase_fix(W[:, order]))
 
 
-def logm_unitary(Q: np.ndarray, branch_tol: float = 1e-8) -> np.ndarray:
+def logm_unitary(Q: np.ndarray) -> np.ndarray:
     """Principal logarithm of a unitary matrix: eigenphases taken in (-pi, pi].
 
     Raises :class:`BranchAmbiguityError` if an eigenphase lies within
-    ``branch_tol`` of -pi, where the branch choice is unstable.
+    ``_BRANCH_TOL`` of -pi, where the branch choice is unstable.
     """
     phases, W = eig_unitary(Q)
     if len(phases):
         worst = float(phases[np.argmax(np.abs(phases))])
         # the cut at -pi is the point |phase| = pi on the circle
-        if np.pi - abs(worst) < branch_tol:
+        if np.pi - abs(worst) < _BRANCH_TOL:
             raise BranchAmbiguityError(worst)
     return skew_part((W * (1j * phases)) @ W.conj().T)
 
 
-def degeneracy_groups(values: np.ndarray, degeneracy_tol: float = 1e-8) -> np.ndarray:
+def degeneracy_groups(values: np.ndarray) -> np.ndarray:
     """Cluster labels for ascending values along the last axis, chaining
-    gaps below tol*max|values|."""
+    gaps below ``_DEGENERACY_TOL`` * max|values|.
+
+    This is the one degeneracy rule: it fixes the gauge group of the
+    geodesic, the commutant of the tangent split and the projection of the
+    path solver.
+    """
     values = np.asarray(values, dtype=float)
-    thresh = degeneracy_tol * np.max(np.abs(values), axis=-1, keepdims=True, initial=0.0)
+    thresh = _DEGENERACY_TOL * np.max(np.abs(values), axis=-1, keepdims=True, initial=0.0)
     labels = np.zeros(values.shape, dtype=int)
     labels[..., 1:] = np.cumsum(np.diff(values, axis=-1) > thresh, axis=-1)
     return labels

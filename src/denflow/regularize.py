@@ -136,6 +136,8 @@ def synth_noisy_path(
     z = np.asarray(z, dtype=float)
     n = rho0.shape[0]
     ts = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("sample times must be finite")
     if not (np.isfinite(noise_amp) and noise_amp >= 0):
         raise ValueError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
     vals0, V0 = eig_hermitian(rho0)

@@ -42,16 +42,14 @@ class TangentSplit:
     trace: float
 
 
-def split_tangent(
-    rho: np.ndarray, T: np.ndarray, degeneracy_tol: float = 1e-8
-) -> TangentSplit:
+def split_tangent(rho: np.ndarray, T: np.ndarray) -> TangentSplit:
     """Split a Hermitian direction T at rho into rotation and scaling parts.
 
     With rho = V diag(lam) V* and T' = V* T V, entries of T' that couple
     distinct eigenvalues are matched by X'_{kl} = T'_{kl} / (lam_l - lam_k);
     the remaining block-diagonal entries commute with rho and form u.
-    Eigenvalue gaps below ``degeneracy_tol * max|lam|`` are treated as
-    degenerate and routed to u, keeping X bounded.
+    Eigenvalues that ``linalg.degeneracy_groups`` puts in one group are
+    treated as degenerate and their entries routed to u, keeping X bounded.
     """
     rho = np.asarray(rho, dtype=complex)
     T = np.asarray(T, dtype=complex)
@@ -64,20 +62,18 @@ def split_tangent(
 
     lam, V = eig_hermitian(rho)
     Tp = dagger(V) @ T @ V
-    labels = degeneracy_groups(lam, degeneracy_tol)
+    labels = degeneracy_groups(lam)
     gaps = lam[None, :] - lam[:, None]
     Xp = np.zeros_like(Tp)
     np.divide(Tp, gaps, out=Xp, where=labels[:, None] != labels[None, :])
 
     X = skew_part(V @ Xp @ dagger(V))
-    u = project_commutant_eig(lam, V, T, degeneracy_tol)
+    u = project_commutant_eig(lam, V, T)
     rot = hermitian_part(commutator(X, rho))
     return TangentSplit(X=X, rot=rot, u=u, trace=float(np.trace(T).real))
 
 
-def project_commutant(
-    rho: np.ndarray, T: np.ndarray, degeneracy_tol: float = 1e-8
-) -> np.ndarray:
+def project_commutant(rho: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Orthogonal projection of T onto traceless directions commuting with rho."""
     rho = np.asarray(rho, dtype=complex)
     T = np.asarray(T, dtype=complex)
@@ -89,12 +85,10 @@ def project_commutant(
         raise ValueError("tangent direction must be Hermitian")
 
     lam, V = eig_hermitian(rho)
-    return project_commutant_eig(lam, V, T, degeneracy_tol)
+    return project_commutant_eig(lam, V, T)
 
 
-def project_commutant_eig(
-    values: np.ndarray, vectors: np.ndarray, T: np.ndarray, degeneracy_tol: float = 1e-8
-) -> np.ndarray:
+def project_commutant_eig(values: np.ndarray, vectors: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Commutant projection at a state given by its eigendecomposition.
 
     ``values`` (..., n) ascending and ``vectors`` (..., n, n) describe one
@@ -103,7 +97,7 @@ def project_commutant_eig(
     entries within each degenerate block, then removes the trace.
     """
     Tp = dagger(vectors) @ T @ vectors
-    labels = degeneracy_groups(values, degeneracy_tol)
+    labels = degeneracy_groups(values)
     up = np.where(labels[..., :, None] == labels[..., None, :], Tp, 0.0)
     n = up.shape[-1]
     diag = np.arange(n)

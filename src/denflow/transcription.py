@@ -85,7 +85,6 @@ _W_END = 1e4  # initial endpoint weight; continuation doubles it each round
 _W_POS = 1e4  # initial positivity weight; doubled with the endpoint weight
 _REL_TOL = 1e-8  # an iteration that lowers the objective by less than this, relatively, ends a round
 _DELTA = 1e-8  # smoothing width of the norms in the cost
-_DEGENERACY_TOL = 1e-8  # eigenvalue gaps treated as degenerate in the projection
 
 
 def _smooth(x: np.ndarray) -> np.ndarray:
@@ -137,7 +136,7 @@ class _Engine:
         w, V = np.linalg.eigh(rho)
         neg = 0.0
         for k, E in enumerate(expm_skew(Xs * dt)):
-            us[k] = project_commutant_eig(w, V, u_raws[k], _DEGENERACY_TOL)
+            us[k] = project_commutant_eig(w, V, u_raws[k])
             states[k + 1] = rho = hermitian_part(E @ (rho + us[k] * dt) @ dagger(E))
             w, V = np.linalg.eigh(rho)
             neg += min(w[0], 0.0) ** 2
@@ -159,10 +158,10 @@ class _Engine:
         N, dt = self.N, self.dt
         w, V = np.linalg.eigh(states)
         props = expm_skew(Xs * dt)
-        us = project_commutant_eig(w[:-1], V[:-1], u_raws, _DEGENERACY_TOL)
+        us = project_commutant_eig(w[:-1], V[:-1], u_raws)
         # P_rho(u) = V (B o V* u V) V* with the block mask B; a move of rho turns V
         # by the skew C = F o (V* drho V), F_jk = 1/(w_k - w_j) across blocks
-        labels = degeneracy_groups(w, _DEGENERACY_TOL)
+        labels = degeneracy_groups(w)
         B = labels[:, :, None] == labels[:, None, :]
         F = np.zeros(B.shape)
         np.divide(1.0, w[:, None, :] - w[:, :, None], out=F, where=~B)
@@ -182,7 +181,7 @@ class _Engine:
             K = commutator(G, B[k] * A[k]) + commutator(A[k], B[k] * G)
             # lam after step 0 is dJ/drho0, unused: rho0 is fixed
             lam = lam + Vk @ (F[k] * K) @ dagger(Vk) + pos[k]
-        gU = project_commutant_eig(w[:-1], V[:-1], g, _DEGENERACY_TOL)
+        gU = project_commutant_eig(w[:-1], V[:-1], g)
         return _along(gX, self.SX), _along(gU, self.SU)
 
 
@@ -194,7 +193,6 @@ def solve_discrete_path(
     tol_end: float = 1e-4,
     max_rounds: int = 12,
     max_iters: int = 8,
-    max_enum: int | None = None,
 ) -> DiscretePath:
     """Minimize the discretized rotation-plus-scaling cost between endpoints.
 
@@ -220,7 +218,7 @@ def solve_discrete_path(
         raise ValueError("max_iters must be nonnegative")
     N = int(steps)
 
-    base = solve_geodesic(rho0, rho1, epsilon, max_enum=max_enum)
+    base = solve_geodesic(rho0, rho1, epsilon)
     Xs = np.repeat(base.X[None], N, axis=0)
     U = expm_skew_times(base.X, np.arange(N) / N)
     u_raws = hermitian_part(U @ base.Z @ dagger(U))

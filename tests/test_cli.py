@@ -11,6 +11,7 @@ import pytest
 from conftest import random_hermitian, random_skew, random_unitary
 
 from denflow.cli import (
+    DocumentError,
     doc_to_matrix,
     doc_to_samples,
     load_matrix,
@@ -115,6 +116,9 @@ class TestDocuments:
         assert np.allclose(parse_times("0.1,0.4,0.9"), [0.1, 0.4, 0.9])
         with pytest.raises(ValueError):
             parse_times("1:0:-2")
+        for text in ("0:0.1:inf", "nan,0.5", "0,inf"):
+            with pytest.raises(DocumentError, match="finite"):
+                parse_times(text)
 
 
 class TestInterpolate:
@@ -241,6 +245,16 @@ class TestInterpolate:
             main(["interpolate", "--epsilon", "1"])
         assert exc.value.code == 3
 
+    def test_max_enum_flag_rejected(self, docs):
+        # the matching cap is fixed at 7; larger n takes the local search
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "interpolate", "--rho0", str(docs / "rho0.json"),
+                "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
+                "--max-enum", "3", "--out", str(docs / "run"), "--quiet",
+            ])
+        assert exc.value.code == 3
+
     def test_non_psd_endpoint_exits_3(self, docs, tmp_path):
         # Hermitian with trace 1, so only the PSD check can reject it
         save_matrix(tmp_path / "neg.json", np.diag([1.5, -0.5]).astype(complex))
@@ -307,6 +321,16 @@ class TestPath:
                 "path", "--rho0", str(docs / "rho0.json"),
                 "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
                 "--samples", "5", "--out", str(docs / "run"), "--quiet",
+            ])
+        assert exc.value.code == 3
+
+    def test_max_enum_flag_rejected(self, docs):
+        # the matching cap is fixed at 7; larger n takes the local search
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "path", "--rho0", str(docs / "rho0.json"),
+                "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
+                "--max-enum", "3", "--out", str(docs / "run"), "--quiet",
             ])
         assert exc.value.code == 3
 
@@ -445,6 +469,11 @@ class TestSynthAndRegularize:
     def test_synth_bad_times_exits_3(self, sdocs):
         code = self.synth(sdocs, sdocs / "a", times="nonsense")
         assert code == 3
+
+    @pytest.mark.parametrize("times", ["0:0.1:inf", "nan,0.5", "0,inf"])
+    def test_synth_non_finite_times_exits_3(self, sdocs, times):
+        assert self.synth(sdocs, sdocs / "a", times=times) == 3
+        assert not (sdocs / "a" / "dataset.json").exists()
 
 
 class TestDecompose:

@@ -10,6 +10,7 @@ from denflow.linalg import (
     expm_skew,
     frob_inner,
     coords,
+    eig_unitary,
     frob_norm,
     herm_basis,
     logm_unitary,
@@ -125,15 +126,45 @@ def test_logm_quarter_turn():
     assert np.allclose(X, [[0, -np.pi / 2], [np.pi / 2, 0]], atol=1e-12)
 
 
-def test_logm_roundtrip_random():
-    rng = np.random.default_rng(18)
+def _logm_inputs(rng):
+    """Skew X with spectral radius below pi - 0.1, n = 2..7: random, and
+    W diag(i phi) W* for random phases, +-t pairs (equal cosines),
+    near-clusters of 1e-9 spread, and phases of order 1e-9."""
     for _ in range(40):
         n = int(rng.integers(2, 8))
         X = random_skew(rng, n)
         radius = np.abs(eig_hermitian(-1j * X).values).max()
         if radius > np.pi - 0.1:
             X *= (np.pi - 0.1) / radius * 0.99
-        assert frob_norm(logm_unitary(expm_skew(X)) - X) <= 1e-8
+        yield X
+    for n in range(2, 8):
+        for _ in range(10):
+            t = rng.uniform(0.1, np.pi - 0.1, n)
+            centers = rng.uniform(-np.pi + 0.1, np.pi - 0.1, 2)
+            spread = 1e-9 * rng.standard_normal(n)
+            for phi in (
+                rng.uniform(-np.pi + 0.1, np.pi - 0.1, n),
+                np.concatenate([t, -t])[:n],
+                centers[rng.integers(0, 2, n)] + spread,
+                spread,
+            ):
+                W = random_unitary(rng, n)
+                yield (W * (1j * phi)) @ W.conj().T
+
+
+def test_logm_roundtrip_random():
+    # backward stable: the log round trip, the eigen-residual and the
+    # orthonormality of the eigenvectors all sit at rounding level
+    rng = np.random.default_rng(18)
+    for X in _logm_inputs(rng):
+        n = X.shape[0]
+        Q = expm_skew(X)
+        assert frob_norm(logm_unitary(Q) - X) <= 1e-12
+        phases, W = eig_unitary(Q)
+        assert frob_norm(Q @ W - W * np.exp(1j * phases)) <= 1e-13
+        assert frob_norm(W.conj().T @ W - np.eye(n)) <= 1e-13
+        assert np.all(np.diff(phases) >= 0)
+        assert np.all((phases > -np.pi) & (phases <= np.pi))
 
 
 def test_logm_paired_phases():

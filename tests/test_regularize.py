@@ -81,6 +81,13 @@ class TestSynth:
         with pytest.raises(ValueError, match="noise_amp"):
             synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES, noise_amp=amp)
 
+    @pytest.mark.parametrize(
+        "times", [[np.nan, 0.5], [0.0, np.inf], [0.0, -np.inf]], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            synth_noisy_path(RHO0, XTRUE, np.zeros(2), times)
+
 
 class TestResidual:
     def test_exact_samples_zero(self):
