@@ -62,17 +62,14 @@ _KIND_CHECKS = {
 }
 
 
-def matrix_to_doc(M: np.ndarray, kind: str = "hermitian", meta: dict | None = None) -> dict:
+def matrix_to_doc(M: np.ndarray, kind: str = "hermitian") -> dict:
     M = np.asarray(M, dtype=complex)
-    doc = {
+    return {
         "n": int(M.shape[0]),
         "kind": kind,
         "re": [[float(x) for x in row] for row in M.real],
         "im": [[float(x) for x in row] for row in M.imag],
     }
-    if meta:
-        doc["meta"] = meta
-    return doc
 
 
 def doc_to_matrix(doc, kind: str = "hermitian") -> np.ndarray:
@@ -255,6 +252,8 @@ def _ensure_out(ns) -> str:
 
 
 def cmd_interpolate(ns) -> int:
+    if ns.samples < 2:
+        raise DocumentError(f"--samples must be at least 2, got {ns.samples}")
     rho0 = load_matrix(ns.rho0)
     rho1 = load_matrix(ns.rho1)
     sol = solve_geodesic(rho0, rho1, ns.epsilon)
@@ -395,10 +394,6 @@ def cmd_synth(ns) -> int:
     rho0 = load_matrix(ns.rho0)
     X = load_matrix(ns.x, kind="skew")
     z = parse_reals(ns.z)
-    if z.size != rho0.shape[0]:
-        raise DocumentError(
-            f"--z needs {rho0.shape[0]} entries, got {z.size}"
-        )
     times = parse_times(ns.times)
     samples = synth_noisy_path(
         rho0, X, z, times,

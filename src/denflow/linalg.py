@@ -148,10 +148,11 @@ def eig_hermitian(A: np.ndarray) -> EigenDecomposition:
     component real positive), so the basis is a deterministic function of
     the input.
     """
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     A = hermitian_part(A)
     n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if n == 1:
         return EigenDecomposition(A.real.diagonal().copy(), np.eye(1, dtype=complex))
     if n == 2:
@@ -276,7 +277,12 @@ def skew_basis(n: int) -> np.ndarray:
     return np.concatenate([1j * D, U - L, 1j * (U + L)])
 
 
+def along(G: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Re<S_i, G> for each basis matrix S_i, of one matrix G or of each in a
+    stack: the derivatives along the basis of a function whose gradient is G."""
+    return np.tensordot(G, basis.conj(), axes=((-2, -1), (-2, -1))).real
+
+
 def coords(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Coordinates of A, or of each matrix in a stack, in an orthogonal basis."""
-    inner = np.tensordot(np.asarray(A, dtype=complex), basis.conj(), axes=((-2, -1), (-2, -1)))
-    return inner.real / (np.abs(basis) ** 2).sum(axis=(1, 2))
+    return along(A, basis) / (np.abs(basis) ** 2).sum(axis=(1, 2))

@@ -27,6 +27,7 @@ from scipy.optimize import Bounds, minimize
 from .linalg import (
     BranchAmbiguityError,
     _phase_fix,
+    along,
     coords,
     dagger,
     eig_hermitian,
@@ -77,6 +78,8 @@ def _check_samples(samples, minimum: int = 1):
     if len(samples) < minimum:
         raise ValueError(f"need at least {minimum} sample(s), got {len(samples)}")
     ts = np.array([s.t for s in samples], dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("sample times must be finite")
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise ValueError("sample times must lie in [0, 1]")
     if np.any(np.diff(ts) <= 0.0):
@@ -125,10 +128,11 @@ def synth_noisy_path(
 ) -> list[MatrixSample]:
     """Sample the flow at the given times and add uniform Hermitian noise.
 
-    The drift rates z pair with the ascending eigenvalues of rho0 (Z is
-    diagonal in rho0's eigenbasis).  Entries of the noise are independent
-    uniform in [-noise_amp, noise_amp]; off-diagonal imaginary parts are
-    drawn only when complex_noise is set.  A fixed seed reproduces the
+    The drift rates z, one finite rate per eigenvalue, pair with the
+    ascending eigenvalues of rho0 (Z is diagonal in rho0's eigenbasis).
+    Entries of the noise are independent uniform in [-noise_amp,
+    noise_amp]; off-diagonal imaginary parts are drawn only when
+    complex_noise is set.  A fixed seed reproduces the
     dataset exactly.
     """
     rho0 = np.asarray(rho0, dtype=complex)
@@ -140,6 +144,8 @@ def synth_noisy_path(
         raise ValueError("sample times must be finite")
     if not (np.isfinite(noise_amp) and noise_amp >= 0):
         raise ValueError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
+    if z.shape != (n,) or not np.all(np.isfinite(z)):
+        raise ValueError(f"z must be {n} finite drift rates, got {z.tolist()}")
     vals0, V0 = eig_hermitian(rho0)
     Z = (V0 * z[None, :]) @ V0.conj().T
     Z = (Z + Z.conj().T) / 2
@@ -226,9 +232,7 @@ def _objective(x, V_start, S, ts, vals, squared):
     gA = expm_skew_times_adjoint(A, [1.0], [dagger(V_start) @ gV])
     gX = expm_skew_times_adjoint(X, ts, 2.0 * G @ props @ core)
     gq = (p.sum() / s) * (gz - gz @ w) if s > 0.0 else np.zeros(len(w))
-    grad = [np.tensordot(S.conj(), gA, 2).real, gp - gz + gz @ w, gq,
-            np.tensordot(S.conj(), gX, 2).real]
-    return float(f), np.concatenate(grad)
+    return float(f), np.concatenate([along(gA, S), gp - gz + gz @ w, gq, along(gX, S)])
 
 
 def solve_regularization(

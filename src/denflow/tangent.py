@@ -42,6 +42,19 @@ class TangentSplit:
     trace: float
 
 
+def _checked(rho, T):
+    """rho and T as complex arrays, once both are Hermitian of one shape."""
+    rho = np.asarray(rho, dtype=complex)
+    T = np.asarray(T, dtype=complex)
+    if rho.shape != T.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {T.shape}")
+    if not is_hermitian(rho):
+        raise ValueError("base point must be Hermitian")
+    if not is_hermitian(T):
+        raise ValueError("tangent direction must be Hermitian")
+    return rho, T
+
+
 def split_tangent(rho: np.ndarray, T: np.ndarray) -> TangentSplit:
     """Split a Hermitian direction T at rho into rotation and scaling parts.
 
@@ -51,15 +64,7 @@ def split_tangent(rho: np.ndarray, T: np.ndarray) -> TangentSplit:
     Eigenvalues that ``linalg.degeneracy_groups`` puts in one group are
     treated as degenerate and their entries routed to u, keeping X bounded.
     """
-    rho = np.asarray(rho, dtype=complex)
-    T = np.asarray(T, dtype=complex)
-    if rho.shape != T.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {T.shape}")
-    if not is_hermitian(rho):
-        raise ValueError("base point must be Hermitian")
-    if not is_hermitian(T):
-        raise ValueError("tangent direction must be Hermitian")
-
+    rho, T = _checked(rho, T)
     lam, V = eig_hermitian(rho)
     Tp = dagger(V) @ T @ V
     labels = degeneracy_groups(lam)
@@ -75,17 +80,8 @@ def split_tangent(rho: np.ndarray, T: np.ndarray) -> TangentSplit:
 
 def project_commutant(rho: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Orthogonal projection of T onto traceless directions commuting with rho."""
-    rho = np.asarray(rho, dtype=complex)
-    T = np.asarray(T, dtype=complex)
-    if rho.shape != T.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {T.shape}")
-    if not is_hermitian(rho):
-        raise ValueError("base point must be Hermitian")
-    if not is_hermitian(T):
-        raise ValueError("tangent direction must be Hermitian")
-
-    lam, V = eig_hermitian(rho)
-    return project_commutant_eig(lam, V, T)
+    rho, T = _checked(rho, T)
+    return project_commutant_eig(*eig_hermitian(rho), T)
 
 
 def project_commutant_eig(values: np.ndarray, vectors: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -3,18 +3,19 @@
 States evolve by exponential-Euler steps rho_{k+1} = e^{X_k dt}(rho_k +
 u_k dt)e^{-X_k dt}, which preserve the Hermitian structure and the trace
 exactly; the commutant constraint on u_k is enforced by projection at the
-current state, and the endpoint and positivity constraints by penalties
-with continuation.  Each continuation round is one L-BFGS-B solve
-(``scipy.optimize.minimize``) over the ``skew_basis``/``herm_basis``
+current state, and the endpoint and positivity constraints by one penalty
+weight that continuation doubles each round.  Each round is one L-BFGS-B
+solve (``scipy.optimize.minimize``) over the ``skew_basis``/``herm_basis``
 coordinates of the per-step controls.
 
 The gradient of the smoothed objective is one reverse sweep over the
-simulated path.  It carries lam = dJ/d rho_{k+1} back through the
-propagator (via ``expm_skew_times_adjoint``), through the commutant
-projection (self-adjoint in the controls, and dependent on rho_k through
-its eigenvectors), and picks up the positivity penalty at every state.
-The returned path is the engine's own final trajectory, the one that
-decides convergence.
+rollout, reusing the eigenpairs and propagators it kept.  It carries
+lam = dJ/d rho_{k+1} back through the propagator (via
+``expm_skew_times_adjoint``), through the commutant projection
+(self-adjoint in the controls, and dependent on rho_k through its
+eigenvectors), and picks up the positivity penalty at every state.  The
+returned path is the engine's own final trajectory, the one that decides
+convergence.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from scipy.optimize import minimize
 
 from .geodesic import solve_geodesic
 from .linalg import (
+    along,
     coords,
     commutator,
     dagger,
@@ -81,8 +83,7 @@ def discrete_cost(path: DiscretePath, epsilon: float) -> float:
 
 # --- descent engine (one simulation gives the objective, one reverse sweep its gradient) ---
 
-_W_END = 1e4  # initial endpoint weight; continuation doubles it each round
-_W_POS = 1e4  # initial positivity weight; doubled with the endpoint weight
+_WEIGHT = 1e4  # initial penalty weight; continuation doubles it each round
 _REL_TOL = 1e-8  # an iteration that lowers the objective by less than this, relatively, ends a round
 _DELTA = 1e-8  # smoothing width of the norms in the cost
 
@@ -96,15 +97,13 @@ def _smooth_grad(A: np.ndarray) -> np.ndarray:
     return A / np.sqrt(np.linalg.norm(A, axis=(-2, -1), keepdims=True) ** 2 + _DELTA * _DELTA)
 
 
-def _along(G: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Derivatives Re<S_i, G> along each basis matrix S_i, given the gradient G."""
-    return np.tensordot(G, basis.conj(), axes=((-2, -1), (-2, -1))).real
-
-
 class _Path(NamedTuple):
-    """States 0..N, projected controls 0..N-1 and unweighted objective terms."""
+    """One rollout: states 0..N, projected controls 0..N-1 and unweighted objective terms."""
 
     states: np.ndarray
+    w: np.ndarray  # (N+1, n) ascending eigenvalues of each state
+    V: np.ndarray  # (N+1, n, n) their eigenvectors
+    props: np.ndarray  # (N, n, n) e^{X_k dt}
     us: np.ndarray
     cost: float  # smoothed sum_k (||X_k|| + epsilon ||u_k||) dt
     neg: float  # sum of squared negative lowest eigenvalues of states 1..N
@@ -121,8 +120,7 @@ class _Engine:
         self.N = N
         self.n = rho0.shape[0]
         self.dt = 1.0 / N
-        self.w_end = _W_END
-        self.w_pos = _W_POS
+        self.w = _WEIGHT
         self.SX = skew_basis(self.n)
         self.SU = herm_basis(self.n)
 
@@ -131,34 +129,35 @@ class _Engine:
         continuation re-weights them without simulating again."""
         N, n, dt = self.N, self.n, self.dt
         states = np.empty((N + 1, n, n), dtype=complex)
+        w = np.empty((N + 1, n))
+        V = np.empty((N + 1, n, n), dtype=complex)
         us = np.empty((N, n, n), dtype=complex)
+        props = expm_skew(Xs * dt)
         states[0] = rho = self.rho0
-        w, V = np.linalg.eigh(rho)
-        neg = 0.0
-        for k, E in enumerate(expm_skew(Xs * dt)):
-            us[k] = project_commutant_eig(w, V, u_raws[k])
+        w[0], V[0] = np.linalg.eigh(rho)
+        for k, E in enumerate(props):
+            us[k] = project_commutant_eig(w[k], V[k], u_raws[k])
             states[k + 1] = rho = hermitian_part(E @ (rho + us[k] * dt) @ dagger(E))
-            w, V = np.linalg.eigh(rho)
-            neg += min(w[0], 0.0) ** 2
+            w[k + 1], V[k + 1] = np.linalg.eigh(rho)
         xcost = _smooth(np.linalg.norm(Xs, axis=(1, 2)))
         ucost = self.eps * _smooth(np.linalg.norm(us, axis=(1, 2)))
-        return _Path(states, us, float((xcost + ucost).sum() * dt), float(neg),
+        return _Path(states, w, V, props, us, float((xcost + ucost).sum() * dt),
+                     float((np.minimum(w[1:, 0], 0.0) ** 2).sum()),
                      float(np.linalg.norm(rho - self.rho1)))
 
     def objective(self, r):
         """Smoothed cost plus the weighted penalties."""
-        return r.cost + self.w_pos * r.neg + self.w_end * r.end**2
+        return r.cost + self.w * (r.neg + r.end**2)
 
-    def gradient(self, Xs, u_raws, states):
+    def gradient(self, Xs, u_raws, sim):
         """Derivatives of the objective along the control bases, by one
-        reverse sweep: lam = dJ/d rho_{k+1} goes back through rho_{k+1} =
-        E_k M_k E_k*, E_k = e^{X_k dt}, M_k = rho_k + P_{rho_k}(u_raw_k) dt, to
-        X_k, to u_raw_k through the self-adjoint projection P, and to rho_k
-        through M_k, the eigenvectors P uses and the positivity term."""
+        reverse sweep over their rollout ``sim``: lam = dJ/d rho_{k+1} goes back
+        through rho_{k+1} = E_k M_k E_k*, E_k = e^{X_k dt}, M_k = rho_k +
+        P_{rho_k}(u_raw_k) dt, to X_k, to u_raw_k through the self-adjoint
+        projection P, and to rho_k through M_k, the eigenvectors P uses and
+        the positivity term."""
         N, dt = self.N, self.dt
-        w, V = np.linalg.eigh(states)
-        props = expm_skew(Xs * dt)
-        us = project_commutant_eig(w[:-1], V[:-1], u_raws)
+        states, w, V, us = sim.states, sim.w, sim.V, sim.us
         # P_rho(u) = V (B o V* u V) V* with the block mask B; a move of rho turns V
         # by the skew C = F o (V* drho V), F_jk = 1/(w_k - w_j) across blocks
         labels = degeneracy_groups(w)
@@ -166,14 +165,14 @@ class _Engine:
         F = np.zeros(B.shape)
         np.divide(1.0, w[:, None, :] - w[:, :, None], out=F, where=~B)
         A = dagger(V[:-1]) @ u_raws @ V[:-1]
-        # gradient of w_pos min(w_0, 0)^2 at each state, v_0 its lowest eigenvector
+        # gradient of self.w min(w_0, 0)^2 at each state, v_0 its lowest eigenvector
         v0 = V[:, :, :1]
-        pos = 2.0 * self.w_pos * np.minimum(w[:, 0], 0.0)[:, None, None] * (v0 @ dagger(v0))
+        pos = 2.0 * self.w * np.minimum(w[:, 0], 0.0)[:, None, None] * (v0 @ dagger(v0))
         gX = dt * _smooth_grad(Xs)
         g = dt * self.eps * _smooth_grad(us)  # dJ/du_k, completed in the sweep
-        lam = 2.0 * self.w_end * (states[N] - self.rho1) + pos[N]
+        lam = 2.0 * self.w * (states[N] - self.rho1) + pos[N]
         for k in range(N - 1, -1, -1):
-            E, Vk = props[k], V[k]
+            E, Vk = sim.props[k], V[k]
             gX[k] += expm_skew_times_adjoint(Xs[k], [dt], [2.0 * lam @ E @ (states[k] + us[k] * dt)])
             lam = dagger(E) @ lam @ E  # dJ/dM_k
             g[k] += dt * lam
@@ -182,7 +181,7 @@ class _Engine:
             # lam after step 0 is dJ/drho0, unused: rho0 is fixed
             lam = lam + Vk @ (F[k] * K) @ dagger(Vk) + pos[k]
         gU = project_commutant_eig(w[:-1], V[:-1], g)
-        return _along(gX, self.SX), _along(gU, self.SU)
+        return along(gX, self.SX), along(gU, self.SU)
 
 
 def solve_discrete_path(
@@ -199,8 +198,9 @@ def solve_discrete_path(
     Initialization takes the constant-control solution and conjugates its
     drift along the path (X_k = X, u_raw_k = e^{X t_k} Z e^{-X t_k}), which
     reproduces the closed-form path exactly in the discrete dynamics; the
-    descent can then only improve on it.  Continuation doubles the endpoint
-    and positivity weights until the endpoint residual meets ``tol_end`` or
+    descent can then only improve on it.  One penalty weight multiplies the
+    squared endpoint residual plus the squared negative eigenvalues of the
+    states; continuation doubles it until the residual meets ``tol_end`` or
     ``max_rounds`` is exhausted (the best path is returned flagged
     non-converged in that case).  Each round is one L-BFGS-B solve of at
     most ``max_iters`` iterations, which stops early once an iteration
@@ -233,7 +233,7 @@ def solve_discrete_path(
     def fun(x):
         Xs, u_raws = controls(x)
         sim = eng.simulate(Xs, u_raws)
-        return eng.objective(sim), np.ravel(eng.gradient(Xs, u_raws, sim.states))
+        return eng.objective(sim), np.ravel(eng.gradient(Xs, u_raws, sim))
 
     x = np.ravel([coords(Xs, eng.SX), coords(u_raws, eng.SU)])
     sim = eng.simulate(*controls(x))
@@ -251,8 +251,7 @@ def solve_discrete_path(
         traces.append(tuple(trace))
         if sim.end <= tol_end:
             break
-        eng.w_end *= 2.0
-        eng.w_pos *= 2.0
+        eng.w *= 2.0
 
     path = DiscretePath(
         N=N,

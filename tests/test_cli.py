@@ -17,6 +17,7 @@ from denflow.cli import (
     load_matrix,
     main,
     matrix_to_doc,
+    parse_reals,
     parse_times,
     samples_to_doc,
     save_matrix,
@@ -107,6 +108,39 @@ class TestDocuments:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             doc_to_matrix({"n": 3, "re": [[1.0, 0.0], [0.0, 1.0]]})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([[1.0]], "JSON object"),
+            ({"re": [[1.0]]}, "integer field 'n'"),
+            ({"n": "two", "re": [[1.0]]}, "integer field 'n'"),
+            ({"n": None, "re": [[1.0]]}, "integer field 'n'"),
+            ({"n": 0, "re": []}, "positive"),
+            ({"n": 1, "im": [[0.0]]}, "field 're'"),
+        ],
+        ids=["array", "no n", "n text", "n null", "n zero", "no re"],
+    )
+    def test_bad_matrix_document_rejected(self, doc, message):
+        with pytest.raises(DocumentError, match=message):
+            doc_to_matrix(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (3, "object or array"),
+            ({"samples": [{"matrix": {"n": 1, "re": [[1.0]]}}]}, "sample 0"),
+        ],
+        ids=["scalar", "no t"],
+    )
+    def test_bad_dataset_document_rejected(self, doc, message):
+        with pytest.raises(DocumentError, match=message):
+            doc_to_samples(doc)
+
+    @pytest.mark.parametrize("text", ["a,b", "0.1,,0.2", ""])
+    def test_parse_reals_rejects_junk(self, text):
+        with pytest.raises(DocumentError, match="comma-separated reals"):
+            parse_reals(text)
 
     def test_parse_times_grid_and_list(self):
         grid = parse_times("0.05:0.05:1")
@@ -244,6 +278,18 @@ class TestInterpolate:
         with pytest.raises(SystemExit) as exc:
             main(["interpolate", "--epsilon", "1"])
         assert exc.value.code == 3
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-2"])
+    def test_too_few_samples_exits_3(self, docs, samples, capfd):
+        out = docs / "o"
+        code = main([
+            "interpolate", "--rho0", str(docs / "rho0.json"),
+            "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
+            f"--samples={samples}", "--out", str(out),
+        ])
+        assert code == 3
+        assert "--samples" in capfd.readouterr().err
+        assert not out.exists()
 
     def test_max_enum_flag_rejected(self, docs):
         # the matching cap is fixed at 7; larger n takes the local search
@@ -474,6 +520,24 @@ class TestSynthAndRegularize:
     def test_synth_non_finite_times_exits_3(self, sdocs, times):
         assert self.synth(sdocs, sdocs / "a", times=times) == 3
         assert not (sdocs / "a" / "dataset.json").exists()
+
+    @pytest.mark.parametrize("z", ["--z=nan,0", "--z=inf,-inf", "--z=0,0,0"])
+    def test_synth_bad_z_exits_3(self, sdocs, z):
+        assert self.synth(sdocs, sdocs / "a", z=(z,)) == 3
+        assert not (sdocs / "a" / "dataset.json").exists()
+
+    def test_regularize_nan_sample_time_exits_3(self, sdocs):
+        assert self.synth(sdocs, sdocs / "a") == 0
+        doc = json.loads((sdocs / "a" / "dataset.json").read_text())
+        doc["samples"][3]["t"] = float("nan")
+        (sdocs / "nan.json").write_text(json.dumps(doc))  # written as NaN
+        out = sdocs / "fit"
+        code = main([
+            "regularize", "--data", str(sdocs / "nan.json"),
+            "--seeds", "1", "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert not (out / "model.json").exists()
 
 
 class TestDecompose:

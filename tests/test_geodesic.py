@@ -251,6 +251,11 @@ def test_rejects_non_hermitian():
         solve_geodesic(bad, np.eye(2, dtype=complex), 1.0)
 
 
+def test_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_geodesic(np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3, 1.0)
+
+
 def test_minimal_rotation_aligned_frames():
     rng = np.random.default_rng(45)
     U = random_unitary(rng, 4)

@@ -4,6 +4,7 @@ import scipy.linalg as sla
 
 from conftest import random_hermitian, random_skew, random_unitary
 from denflow.linalg import (
+    along,
     BranchAmbiguityError,
     commutator,
     eig_hermitian,
@@ -244,3 +245,20 @@ def test_parameter_vector_roundtrips():
         v = rng.normal(size=n * n)
         assert np.allclose(coords(np.tensordot(v, H, 1), H), v, atol=1e-15)
         assert np.allclose(coords(np.tensordot(v, K, 1), K), v, atol=1e-15)
+
+
+def test_along_is_the_inner_product_with_each_basis_matrix():
+    rng = np.random.default_rng(22)
+    K = skew_basis(3)
+    G = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    want = [[frob_inner(S, g) for S in K] for g in G]
+    assert np.allclose(along(G, K), want, atol=1e-14)
+    assert np.allclose(along(G[0], K), want[0], atol=1e-14)
+    # coordinates are these derivatives over the basis norms
+    assert np.allclose(coords(G[0], K), along(G[0], K) / np.array([frob_inner(S, S) for S in K]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)], ids=str)
+def test_eig_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="square"):
+        eig_hermitian(np.zeros(shape))

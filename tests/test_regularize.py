@@ -88,6 +88,14 @@ class TestSynth:
         with pytest.raises(ValueError, match="finite"):
             synth_noisy_path(RHO0, XTRUE, np.zeros(2), times)
 
+    @pytest.mark.parametrize(
+        "z", [[np.nan, 0.0], [np.inf, -np.inf], [0.1, -0.05, -0.05], [[0.1, -0.1]]],
+        ids=["nan,0", "inf,-inf", "too long", "2-d"],
+    )
+    def test_bad_drift_rates_rejected(self, z):
+        with pytest.raises(ValueError, match="drift rates"):
+            synth_noisy_path(RHO0, XTRUE, z, TIMES[:4])
+
 
 class TestResidual:
     def test_exact_samples_zero(self):
@@ -118,6 +126,17 @@ class TestResidual:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             residual(truth_model(RHO0, XTRUE), [])
+
+    @pytest.mark.parametrize(
+        "times", [[0.1, np.nan, 0.9], [np.nan, 0.5, 0.9], [-0.1, 0.5, 0.9], [0.1, 0.5, 1.5]],
+        ids=["nan inside", "nan first", "below 0", "above 1"],
+    )
+    def test_bad_sample_times_rejected(self, times):
+        data = [MatrixSample(t, np.eye(2, dtype=complex) / 2) for t in times]
+        with pytest.raises(ValueError, match="sample times"):
+            residual(truth_model(RHO0, XTRUE), data)
+        with pytest.raises(ValueError, match="sample times"):
+            solve_regularization(data, seeds=1)
 
 
 class TestGradient:
@@ -215,6 +234,12 @@ class TestSolve:
         data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES[:4], noise_amp=0.0)
         with pytest.raises(ValueError, match="seeds"):
             solve_regularization(data, seeds=seeds)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iteration_rejected(self, max_iters):
+        data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES[:4], noise_amp=0.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_regularization(data, max_iters=max_iters)
 
     def test_too_few_samples_rejected(self):
         data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), [0.1, 0.9], noise_amp=0.0)

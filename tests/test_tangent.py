@@ -50,6 +50,24 @@ def test_split_rejects_non_hermitian():
         split_tangent(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), rho)
 
 
+NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "fn, rho, T, message",
+    [
+        (split_tangent, np.diag([1.0, 0.0]), np.eye(3), "dimension mismatch"),
+        (project_commutant, np.diag([1.0, 0.0]), np.eye(3), "dimension mismatch"),
+        (project_commutant, np.diag([1.0, 0.0]), NON_HERMITIAN, "direction must be Hermitian"),
+        (project_commutant, NON_HERMITIAN, np.diag([1.0, 0.0]), "base point must be Hermitian"),
+    ],
+    ids=["split dimension", "project dimension", "project direction", "project base point"],
+)
+def test_bad_inputs_rejected(fn, rho, T, message):
+    with pytest.raises(ValueError, match=message):
+        fn(rho, T)
+
+
 def test_split_near_degenerate_routes_to_commutant():
     # gap below the relative threshold: the 1/(lam_l - lam_k) division would
     # blow up, so the entry must land in u and X must stay zero

@@ -260,7 +260,7 @@ class TestGradient:
         eng = _Engine(rho0, end + D - np.trace(D) / n * np.eye(n), 0.7, N)
         sim = eng.simulate(Xs, u_raws)
         assert sim.neg > 0.0 and sim.end > 0.0
-        gX, gU = eng.gradient(Xs, u_raws, sim.states)
+        gX, gU = eng.gradient(Xs, u_raws, sim)
 
         def phi(Xs, u_raws):
             return float(eng.objective(eng.simulate(Xs, u_raws)))
