@@ -148,11 +148,17 @@ def doc_to_samples(doc) -> list[MatrixSample]:
         raw = doc
     else:
         raise DocumentError("dataset must be a JSON object or array")
+    if not isinstance(raw, list):
+        raise DocumentError("field 'samples' must be an array")
     out = []
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or "t" not in item or "matrix" not in item:
             raise DocumentError(f"sample {i} must be an object with 't' and 'matrix'")
-        out.append(MatrixSample(t=float(item["t"]), value=doc_to_matrix(item["matrix"])))
+        try:
+            t = float(item["t"])
+        except (TypeError, ValueError):
+            raise DocumentError(f"sample {i}: 't' must be a real number") from None
+        out.append(MatrixSample(t=t, value=doc_to_matrix(item["matrix"])))
     return out
 
 

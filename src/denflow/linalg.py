@@ -6,13 +6,17 @@ with every eigenvector phase-fixed so the basis is reproducible bit for
 bit.  The exponential of skew-Hermitian matrices, the propagators e^{Xt}
 over many times, the Hermitian/skew parts and the degeneracy grouping of
 eigenvalues accept single matrices and ``(..., n, n)`` stacks alike.  The
-adjoint of the derivative of those propagators (summed over times), the
+exponential and its adjoint (the gradient through the derivative of e^{Xt},
+summed over times, for each X of a stack) both read the eigenpairs of -iX
+from ``eig_skew``, so a caller that keeps them decomposes each X once.  The
 principal logarithm of unitary matrices, commutators, the Frobenius (trace)
 inner product and coordinate bases of the (skew-)Hermitian matrices complete
 the set.  The unitary eigendecomposition behind the logarithm is read off
 a complex Schur form, and ``degeneracy_groups`` holds the one rule for
-which eigenvalues count as degenerate.  Matrices are plain ``numpy``
-arrays of ``complex`` dtype; targeted sizes are n ~ 2..10.
+which eigenvalues count as degenerate.  ``check_count`` is the one check
+that a solver budget (steps, rounds, iterations, starts) is a whole number
+in range.  Matrices are plain ``numpy`` arrays of ``complex`` dtype;
+targeted sizes are n ~ 2..10.
 """
 
 from __future__ import annotations
@@ -76,6 +80,20 @@ def is_unitary(Q: np.ndarray, tol: float = 1e-10) -> bool:
     Q = np.asarray(Q, dtype=complex)
     n = Q.shape[0]
     return float(np.linalg.norm(Q.conj().T @ Q - np.eye(n))) <= tol
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is a whole
+    number of at least ``minimum``."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def frob_inner(A: np.ndarray, B: np.ndarray) -> float:
@@ -161,11 +179,6 @@ def eig_hermitian(A: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, _phase_fix(vectors))
 
 
-def _exp_i(theta: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """W diag(e^{i theta}) W* for theta (..., n) and W (..., n, n)."""
-    return (W * np.exp(1j * theta)[..., None, :]) @ dagger(W)
-
-
 def _eig_for_exp(H: np.ndarray):
     """Eigenpairs of a Hermitian matrix or stack, for basis-free results.
 
@@ -176,37 +189,55 @@ def _eig_for_exp(H: np.ndarray):
     return _eig2(hermitian_part(H)) if H.shape == (2, 2) else np.linalg.eigh(H)
 
 
+def eig_skew(X: np.ndarray):
+    """Eigenpairs (theta, W) of -iX for a skew-Hermitian X or a (..., n, n)
+    stack of them, so X = W diag(i theta) W*: what the exponential and its
+    adjoint share."""
+    return _eig_for_exp(-1j * np.asarray(X, dtype=complex))
+
+
+def exp_i(theta: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """W diag(e^{i theta}) W* for theta (..., n) and W (..., n, n): e^X
+    from the eigenpairs of -iX."""
+    return (W * np.exp(1j * theta)[..., None, :]) @ dagger(W)
+
+
 def expm_skew(X: np.ndarray) -> np.ndarray:
     """exp(X) for a skew-Hermitian X or a (..., n, n) stack of them, via
     the Hermitian eigenproblem of -iX."""
-    return _exp_i(*_eig_for_exp(-1j * np.asarray(X, dtype=complex)))
+    return exp_i(*eig_skew(X))
 
 
 def expm_skew_times(X: np.ndarray, times) -> np.ndarray:
     """Propagators e^{Xt}, shape (len(times), n, n), from one
     eigendecomposition of -iX."""
-    theta, W = _eig_for_exp(-1j * np.asarray(X, dtype=complex))
-    return _exp_i(theta * np.asarray(times, dtype=float)[:, None], W)
+    theta, W = eig_skew(X)
+    return exp_i(theta * np.asarray(times, dtype=float)[:, None], W)
 
 
-def expm_skew_times_adjoint(X: np.ndarray, times, Y) -> np.ndarray:
-    """Gradient in X of sum_i Re<Y_i, e^{X t_i}>, for skew-Hermitian X: the
-    matrix G with d sum_i Re<Y_i, e^{X t_i}> = Re<G, dX>.
+def expm_skew_adjoint(theta: np.ndarray, W: np.ndarray, times, Y) -> np.ndarray:
+    """Gradient in X of sum_i Re<Y_i, e^{X t_i}> at each skew-Hermitian X of
+    a stack, from the eigenpairs (theta, W) = ``eig_skew(X)`` that the
+    forward exponential used: the G with d sum_i Re<Y_i, e^{X t_i}> =
+    Re<G, dX>.
 
-    Daleckii-Krein in the eigenbasis of -iX = W diag(theta) W*: the
+    theta is (..., n), W (..., n, n), times (m,) and Y (..., m, n, n);
+    the result is (..., n, n), one gradient per X, summed over its m times.
+    Daleckii-Krein (Higham 2008, Functions of Matrices, sec. 3.2): the
     derivative of e^{Xt} scales W* dX W elementwise by t times the divided
-    differences of e^{i theta t}, taken in the half-angle form of the expm1
-    quotient, e^{i(theta_j + theta_k)t/2} sin(g)/g with g = (theta_j -
-    theta_k)t/2, which stays accurate as eigenvalues coincide.  One
-    eigendecomposition serves every time.
+    differences phi of e^{i theta t}, taken in the half-angle form of the
+    expm1 quotient, e^{i(theta_j + theta_k)t/2} sin(g)/g with g = (theta_j -
+    theta_k)t/2, which stays accurate as eigenvalues coincide; so G = sum_i
+    t_i W (conj(phi_i) o W* Y_i W) W*.  No eigendecomposition is made here.
     """
-    theta, W = _eig_for_exp(-1j * np.asarray(X, dtype=complex))
+    theta = np.asarray(theta)[..., None, :]
     t = np.asarray(times, dtype=float)[:, None, None]
-    phi = np.exp(0.5j * t * (theta[:, None] + theta[None, :])) * np.sinc(
-        t * (theta[:, None] - theta[None, :]) / (2 * np.pi)
+    phi = np.exp(0.5j * t * (theta[..., :, None] + theta[..., None, :])) * np.sinc(
+        t * (theta[..., :, None] - theta[..., None, :]) / (2 * np.pi)
     )
-    Yw = dagger(W) @ np.asarray(Y, dtype=complex) @ W
-    return W @ (t * np.conj(phi) * Yw).sum(axis=0) @ dagger(W)
+    Wm = W[..., None, :, :]
+    Yw = dagger(Wm) @ np.asarray(Y, dtype=complex) @ Wm
+    return W @ (t * np.conj(phi) * Yw).sum(axis=-3) @ dagger(W)
 
 
 def eig_unitary(Q: np.ndarray) -> EigenDecomposition:

@@ -11,8 +11,10 @@ Each start is one L-BFGS-B solve (``scipy.optimize.minimize``) on the
 exact gradient of the smoothed objective, in coordinates x = (a, p, q, c)
 that turn every constraint into a bound: V = V_start e^{A(a)} and X = X(c)
 expand A and X in ``skew_basis``, and z = q sum(p)/sum(q) - p, so the
-bounds p, q >= 0 give p + z >= 0 and sum(z) = 0 by construction.  The
-gradient in A and X goes through ``expm_skew_times_adjoint``.  The additive
+bounds p, q >= 0 give p + z >= 0 and sum(z) = 0 by construction.  Each
+evaluation decomposes A and X once (``eig_skew``); V, the propagators
+e^{X t_i} and the gradients in A and X (``expm_skew_adjoint``) all read
+those eigenpairs.  The additive
 i*phi*I gauge of the outer rotation cancels in the conjugation, so the path
 cannot see it; the fitted X is returned traceless.
 """
@@ -28,12 +30,15 @@ from .linalg import (
     BranchAmbiguityError,
     _phase_fix,
     along,
+    check_count,
     coords,
     dagger,
     eig_hermitian,
+    eig_skew,
+    exp_i,
     expm_skew,
+    expm_skew_adjoint,
     expm_skew_times,
-    expm_skew_times_adjoint,
     hermitian_part,
     is_hermitian,
     logm_unitary,
@@ -198,22 +203,25 @@ def _initial_guess(ts, vals):
 
 
 def _unpack(x, V_start, S):
-    """A, V, p, z, X, w and sum(q) at x = (a, p, q, c), with z = w sum(p) - p
-    for the weights w = q / sum(q)."""
+    """eig_skew(A), V, p, z, X, w and sum(q) at x = (a, p, q, c), with
+    z = w sum(p) - p for the weights w = q / sum(q)."""
     m, n = len(S), V_start.shape[0]
     a, p, q, c = np.split(x, [m, m + n, m + 2 * n])
     s = q.sum()
     # sum(q) = 0 only at q = 0, where any weights give p + z = 0; uniform
     # ones keep z finite (the all-zero start then stays at p = z = 0)
     w = q / s if s > 0.0 else np.full(n, 1.0 / n)
-    A = np.tensordot(a, S, 1)
-    return A, V_start @ expm_skew(A), p, w * p.sum() - p, np.tensordot(c, S, 1), w, s
+    eA = eig_skew(np.tensordot(a, S, 1))
+    return eA, V_start @ exp_i(*eA), p, w * p.sum() - p, np.tensordot(c, S, 1), w, s
 
 
 def _objective(x, V_start, S, ts, vals, squared):
-    """Smoothed objective and its exact gradient in x = (a, p, q, c)."""
-    A, V, p, z, X, w, s = _unpack(x, V_start, S)
-    props = expm_skew_times(X, ts)
+    """Smoothed objective and its exact gradient in x = (a, p, q, c).  A and
+    X are decomposed once each; V, the propagators and both adjoints read
+    those eigenpairs."""
+    eA, V, p, z, X, w, s = _unpack(x, V_start, S)
+    thX, WX = eig_skew(X)
+    props = exp_i(thX * ts[:, None], WX)
     lam = p[None, :] + np.outer(ts, z)
     core, states = _flow(props, V, lam)
     R = states - vals
@@ -229,8 +237,8 @@ def _objective(x, V_start, S, ts, vals, squared):
     M = np.einsum("ik,tik->tk", V.conj(), HV).real  # dF/dlam_i = diag(V* H_i V)
     gp, gz = M.sum(axis=0), ts @ M
     gV = 2.0 * np.einsum("tik,tk->ik", HV, lam)
-    gA = expm_skew_times_adjoint(A, [1.0], [dagger(V_start) @ gV])
-    gX = expm_skew_times_adjoint(X, ts, 2.0 * G @ props @ core)
+    gA = expm_skew_adjoint(*eA, [1.0], [dagger(V_start) @ gV])
+    gX = expm_skew_adjoint(thX, WX, ts, 2.0 * G @ props @ core)
     gq = (p.sum() / s) * (gz - gz @ w) if s > 0.0 else np.zeros(len(w))
     return float(f), np.concatenate([along(gA, S), gp - gz + gz @ w, gq, along(gX, S)])
 
@@ -253,10 +261,8 @@ def solve_regularization(
     those of the winning start.
     """
     ts, vals = _check_samples(samples, minimum=3)
-    if seeds < 1:
-        raise ValueError("seeds must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
+    seeds = check_count("seeds", seeds, 1)
+    max_iters = check_count("max_iters", max_iters, 1)
     n = vals.shape[1]
     V0, p0, z0, X0 = _initial_guess(ts, vals)
     rng = np.random.default_rng(rng_seed)

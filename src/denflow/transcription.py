@@ -10,10 +10,12 @@ coordinates of the per-step controls.
 
 The gradient of the smoothed objective is one reverse sweep over the
 rollout, reusing the eigenpairs and propagators it kept.  It carries
-lam = dJ/d rho_{k+1} back through the propagator (via
-``expm_skew_times_adjoint``), through the commutant projection
-(self-adjoint in the controls, and dependent on rho_k through its
-eigenvectors), and picks up the positivity penalty at every state.  The
+lam = dJ/d rho_{k+1} back through each propagator, through the commutant
+projection (self-adjoint in the controls, and dependent on rho_k through
+its eigenvectors), and picks up the positivity penalty at every state.  The
+sweep only stores each lam; one ``expm_skew_adjoint`` call over the whole
+stack then turns them into the X gradients, on the eigenpairs of X_k dt
+that built the propagators, so no generator is decomposed twice.  The
 returned path is the engine's own final trajectory, the one that decides
 convergence.
 """
@@ -29,13 +31,16 @@ from scipy.optimize import minimize
 from .geodesic import solve_geodesic
 from .linalg import (
     along,
+    check_count,
     coords,
     commutator,
     dagger,
     degeneracy_groups,
+    eig_skew,
+    exp_i,
     expm_skew,
+    expm_skew_adjoint,
     expm_skew_times,
-    expm_skew_times_adjoint,
     herm_basis,
     hermitian_part,
     skew_basis,
@@ -103,7 +108,9 @@ class _Path(NamedTuple):
     states: np.ndarray
     w: np.ndarray  # (N+1, n) ascending eigenvalues of each state
     V: np.ndarray  # (N+1, n, n) their eigenvectors
-    props: np.ndarray  # (N, n, n) e^{X_k dt}
+    theta: np.ndarray  # (N, n) eigenvalues of -i X_k dt
+    W: np.ndarray  # (N, n, n) their eigenvectors
+    props: np.ndarray  # (N, n, n) e^{X_k dt}, from theta and W
     us: np.ndarray
     cost: float  # smoothed sum_k (||X_k|| + epsilon ||u_k||) dt
     neg: float  # sum of squared negative lowest eigenvalues of states 1..N
@@ -132,7 +139,8 @@ class _Engine:
         w = np.empty((N + 1, n))
         V = np.empty((N + 1, n, n), dtype=complex)
         us = np.empty((N, n, n), dtype=complex)
-        props = expm_skew(Xs * dt)
+        theta, W = eig_skew(Xs * dt)
+        props = exp_i(theta, W)
         states[0] = rho = self.rho0
         w[0], V[0] = np.linalg.eigh(rho)
         for k, E in enumerate(props):
@@ -141,7 +149,7 @@ class _Engine:
             w[k + 1], V[k + 1] = np.linalg.eigh(rho)
         xcost = _smooth(np.linalg.norm(Xs, axis=(1, 2)))
         ucost = self.eps * _smooth(np.linalg.norm(us, axis=(1, 2)))
-        return _Path(states, w, V, props, us, float((xcost + ucost).sum() * dt),
+        return _Path(states, w, V, theta, W, props, us, float((xcost + ucost).sum() * dt),
                      float((np.minimum(w[1:, 0], 0.0) ** 2).sum()),
                      float(np.linalg.norm(rho - self.rho1)))
 
@@ -153,9 +161,11 @@ class _Engine:
         """Derivatives of the objective along the control bases, by one
         reverse sweep over their rollout ``sim``: lam = dJ/d rho_{k+1} goes back
         through rho_{k+1} = E_k M_k E_k*, E_k = e^{X_k dt}, M_k = rho_k +
-        P_{rho_k}(u_raw_k) dt, to X_k, to u_raw_k through the self-adjoint
-        projection P, and to rho_k through M_k, the eigenvectors P uses and
-        the positivity term."""
+        P_{rho_k}(u_raw_k) dt, to u_raw_k through the self-adjoint projection
+        P, and to rho_k through M_k, the eigenvectors P uses and the
+        positivity term.  The sweep keeps every lam; after it, one batched
+        adjoint on the eigenpairs ``sim`` kept for the E_k gives every X_k
+        its gradient, with no eigendecomposition in the loop."""
         N, dt = self.N, self.dt
         states, w, V, us = sim.states, sim.w, sim.V, sim.us
         # P_rho(u) = V (B o V* u V) V* with the block mask B; a move of rho turns V
@@ -171,15 +181,20 @@ class _Engine:
         gX = dt * _smooth_grad(Xs)
         g = dt * self.eps * _smooth_grad(us)  # dJ/du_k, completed in the sweep
         lam = 2.0 * self.w * (states[N] - self.rho1) + pos[N]
+        lams = np.empty_like(states[1:])  # lams[k] = dJ/drho_{k+1}
         for k in range(N - 1, -1, -1):
             E, Vk = sim.props[k], V[k]
-            gX[k] += expm_skew_times_adjoint(Xs[k], [dt], [2.0 * lam @ E @ (states[k] + us[k] * dt)])
+            lams[k] = lam
             lam = dagger(E) @ lam @ E  # dJ/dM_k
             g[k] += dt * lam
             G = dagger(Vk) @ g[k] @ Vk
             K = commutator(G, B[k] * A[k]) + commutator(A[k], B[k] * G)
             # lam after step 0 is dJ/drho0, unused: rho0 is fixed
             lam = lam + Vk @ (F[k] * K) @ dagger(Vk) + pos[k]
+        # dJ/dE_k = 2 lam_{k+1} E_k M_k; the adjoint on the forward eigenpairs
+        # of X_k dt gives the gradient in X_k dt, so X_k's is dt times it
+        Y = 2.0 * lams @ sim.props @ (states[:-1] + us * dt)
+        gX += dt * expm_skew_adjoint(sim.theta, sim.W, [1.0], Y[:, None])
         gU = project_commutant_eig(w[:-1], V[:-1], g)
         return along(gX, self.SX), along(gU, self.SU)
 
@@ -208,15 +223,11 @@ def solve_discrete_path(
     """
     rho0 = np.asarray(rho0, dtype=complex)
     rho1 = np.asarray(rho1, dtype=complex)
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
+    N = check_count("steps", steps, 2)
     if not tol_end >= 0.0:
         raise ValueError(f"tol_end must be nonnegative, got {tol_end}")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be positive")
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    N = int(steps)
+    max_rounds = check_count("max_rounds", max_rounds, 1)
+    max_iters = check_count("max_iters", max_iters, 0)
 
     base = solve_geodesic(rho0, rho1, epsilon)
     Xs = np.repeat(base.X[None], N, axis=0)

@@ -526,6 +526,25 @@ class TestSynthAndRegularize:
         assert self.synth(sdocs, sdocs / "a", z=(z,)) == 3
         assert not (sdocs / "a" / "dataset.json").exists()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"t": None, "matrix": {"n": 1, "re": [[1.0]]}}],
+            [{"t": [0.1], "matrix": {"n": 1, "re": [[1.0]]}}],
+            {"samples": 5},
+        ],
+        ids=["t null", "t list", "samples scalar"],
+    )
+    def test_regularize_malformed_dataset_exits_3(self, tmp_path, doc):
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        out = tmp_path / "fit"
+        code = main([
+            "regularize", "--data", str(tmp_path / "bad.json"),
+            "--seeds", "1", "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert not (out / "model.json").exists()
+
     def test_regularize_nan_sample_time_exits_3(self, sdocs):
         assert self.synth(sdocs, sdocs / "a") == 0
         doc = json.loads((sdocs / "a" / "dataset.json").read_text())

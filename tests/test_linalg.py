@@ -8,7 +8,9 @@ from denflow.linalg import (
     BranchAmbiguityError,
     commutator,
     eig_hermitian,
+    eig_skew,
     expm_skew,
+    expm_skew_adjoint,
     frob_inner,
     coords,
     eig_unitary,
@@ -262,3 +264,49 @@ def test_along_is_the_inner_product_with_each_basis_matrix():
 def test_eig_rejects_non_square(shape):
     with pytest.raises(ValueError, match="square"):
         eig_hermitian(np.zeros(shape))
+
+
+def _adjoint_case(kind):
+    """(Xs, times, Ys): a stack of generators, the times each is taken at
+    and one direction Y per generator and time."""
+    rng = np.random.default_rng(23)
+    if kind == "one X, many times":
+        Xs, times = random_skew(rng, 3, 2.0)[None], np.linspace(0.1, 1.0, 6)
+    elif kind == "stack, one time each":
+        Xs, times = np.stack([random_skew(rng, 3, 2.0) for _ in range(4)]), np.array([0.3])
+    elif kind == "repeated eigenvalue":
+        Q = random_unitary(rng, 3)
+        Xs, times = ((Q * 1j * np.array([0.8, 0.8, -1.1])) @ Q.conj().T)[None], np.array([0.7, 1.3])
+    elif kind == "single 2x2":
+        Xs, times = random_skew(rng, 2, 2.0)[None], np.array([0.6])
+    elif kind == "real":
+        A = rng.normal(size=(3, 3))
+        Xs, times = (A - A.T)[None].astype(complex), np.array([0.4, 0.9])
+    Ys = rng.normal(size=(len(Xs), len(times), *Xs.shape[1:])) + 1j * rng.normal(
+        size=(len(Xs), len(times), *Xs.shape[1:]))
+    return Xs, times, Ys
+
+
+@pytest.mark.parametrize("kind", ["one X, many times", "stack, one time each",
+                                  "repeated eigenvalue", "single 2x2", "real"])
+def test_expm_skew_adjoint_matches_central_differences(kind):
+    # the gradient of sum_i Re<Y_i, e^{X t_i}> along each skew basis matrix,
+    # against central differences of scipy's expm; the kernel reads the
+    # eigenpairs that the forward exponential uses
+    Xs, times, Ys = _adjoint_case(kind)
+    n = Xs.shape[-1]
+    K = skew_basis(n)
+    if len(Xs) == 1:
+        # a single generator goes in unstacked, through the 2x2 closed form
+        G = expm_skew_adjoint(*eig_skew(Xs[0]), times, Ys[0])[None]
+    else:
+        G = expm_skew_adjoint(*eig_skew(Xs), times, Ys)
+    assert G.shape == Xs.shape
+
+    def f(X, Y):
+        return sum(frob_inner(y, sla.expm(X * t)) for y, t in zip(Y, times))
+
+    h = 1e-6
+    for X, Y, g in zip(Xs, Ys, G):
+        fd = [(f(X + h * S, Y) - f(X - h * S, Y)) / (2 * h) for S in K]
+        assert np.allclose(along(g, K), fd, rtol=1e-7, atol=1e-7 * np.abs(fd).max())

@@ -229,13 +229,13 @@ class TestSolve:
         lam = m.p[None, :] + np.outer(np.linspace(0, 1, 11), m.z)
         assert lam.min() >= -1e-12
 
-    @pytest.mark.parametrize("seeds", [0, -3])
+    @pytest.mark.parametrize("seeds", [0, -3, 2.5, np.nan])
     def test_no_start_rejected(self, seeds):
         data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES[:4], noise_amp=0.0)
         with pytest.raises(ValueError, match="seeds"):
             solve_regularization(data, seeds=seeds)
 
-    @pytest.mark.parametrize("max_iters", [0, -1])
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.5, np.inf])
     def test_no_iteration_rejected(self, max_iters):
         data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES[:4], noise_amp=0.0)
         with pytest.raises(ValueError, match="max_iters"):

@@ -227,11 +227,19 @@ class TestSolver:
             solve_discrete_path(rho, rho, 1.0, steps=1)
 
     @pytest.mark.parametrize("kw", [dict(max_rounds=0), dict(max_rounds=-1), dict(max_iters=-1),
-                                    dict(tol_end=np.nan), dict(tol_end=-1.0)])
+                                    dict(tol_end=np.nan), dict(tol_end=-1.0),
+                                    dict(steps=2.7), dict(max_iters=2.5), dict(max_rounds=1.5),
+                                    dict(max_iters=np.nan), dict(steps=None)])
     def test_bad_budget_rejected(self, kw):
+        # a fractional budget is rejected, never rounded or truncated
         rho = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(ValueError, match=next(iter(kw))):
-            solve_discrete_path(rho, rho, 1.0, steps=4, **kw)
+            solve_discrete_path(rho, rho, 1.0, **{"steps": 4, **kw})
+
+    def test_whole_float_budget_accepted(self):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        path = solve_discrete_path(rho, rho, 1.0, steps=4.0, max_rounds=1.0, max_iters=1.0)
+        assert path.N == 4 and isinstance(path.N, int)
 
 
 class TestGradient:
