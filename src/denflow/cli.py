@@ -28,6 +28,7 @@ import numpy as np
 
 from .geodesic import InfeasibleError, sample_path, solve_geodesic
 from .linalg import (
+    check_count,
     commutator,
     eig_hermitian,
     frob_inner,
@@ -76,11 +77,9 @@ def doc_to_matrix(doc, kind: str = "hermitian") -> np.ndarray:
     if not isinstance(doc, dict):
         raise DocumentError("matrix document must be a JSON object")
     try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        raise DocumentError("matrix document needs an integer field 'n'") from None
-    if n < 1:
-        raise DocumentError("matrix dimension must be positive")
+        n = check_count("n", doc.get("n"), 1)
+    except ValueError as exc:
+        raise DocumentError(f"matrix document needs a positive integer field 'n': {exc}") from None
     if "re" not in doc:
         raise DocumentError("matrix document needs a field 're'")
 

@@ -10,7 +10,7 @@ exponential and its adjoint (the gradient through the derivative of e^{Xt},
 summed over times, for each X of a stack) both read the eigenpairs of -iX
 from ``eig_skew``, so a caller that keeps them decomposes each X once.  The
 principal logarithm of unitary matrices, commutators, the Frobenius (trace)
-inner product and coordinate bases of the (skew-)Hermitian matrices complete
+inner product and a coordinate basis of the skew-Hermitian matrices complete
 the set.  The unitary eigendecomposition behind the logarithm is read off
 a complex Schur form, and ``degeneracy_groups`` holds the one rule for
 which eigenvalues count as degenerate.  ``check_count`` is the one check
@@ -84,9 +84,9 @@ def is_unitary(Q: np.ndarray, tol: float = 1e-10) -> bool:
 
 def check_count(name: str, value, minimum: int) -> int:
     """``value`` as an int; a ValueError naming ``name`` unless it is a whole
-    number of at least ``minimum``."""
+    number of at least ``minimum``.  A boolean is not a count."""
     try:
-        whole = int(value) == value
+        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
@@ -274,8 +274,8 @@ def degeneracy_groups(values: np.ndarray) -> np.ndarray:
     gaps below ``_DEGENERACY_TOL`` * max|values|.
 
     This is the one degeneracy rule: it fixes the gauge group of the
-    geodesic, the commutant of the tangent split and the projection of the
-    path solver.
+    geodesic, the commutant of the tangent split and the rotations of the
+    path solver's first frame.
     """
     values = np.asarray(values, dtype=float)
     thresh = _DEGENERACY_TOL * np.max(np.abs(values), axis=-1, keepdims=True, initial=0.0)
@@ -284,28 +284,16 @@ def degeneracy_groups(values: np.ndarray) -> np.ndarray:
     return labels
 
 
-# --- coordinate bases: A = np.tensordot(v, basis, 1) and v = coords(A, basis) ---
-
-
-def _units(n: int):
-    """Unit matrices E_aa, then E_ab and E_ba over a < b in row-major order."""
-    E = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
-    iu, ju = np.triu_indices(n, k=1)
-    return E[np.arange(n), np.arange(n)], E[iu, ju], E[ju, iu]
-
-
-def herm_basis(n: int) -> np.ndarray:
-    """Orthogonal basis (n^2, n, n) of the Hermitian matrices: E_aa, then
-    E_ab + E_ba, then i(E_ab - E_ba)."""
-    D, U, L = _units(n)
-    return np.concatenate([D, U + L, 1j * (U - L)])
+# --- coordinate basis: A = np.tensordot(v, basis, 1) and v = coords(A, basis) ---
 
 
 def skew_basis(n: int) -> np.ndarray:
     """Orthogonal basis (n^2, n, n) of the skew-Hermitian matrices: i E_aa,
-    then E_ab - E_ba, then i(E_ab + E_ba)."""
-    D, U, L = _units(n)
-    return np.concatenate([1j * D, U - L, 1j * (U + L)])
+    then E_ab - E_ba, then i(E_ab + E_ba), over a < b in row-major order."""
+    E = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
+    iu, ju = np.triu_indices(n, k=1)
+    U, L = E[iu, ju], E[ju, iu]
+    return np.concatenate([1j * E[np.arange(n), np.arange(n)], U - L, 1j * (U + L)])
 
 
 def along(G: np.ndarray, basis: np.ndarray) -> np.ndarray:

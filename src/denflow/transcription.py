@@ -2,22 +2,26 @@
 
 States evolve by exponential-Euler steps rho_{k+1} = e^{X_k dt}(rho_k +
 u_k dt)e^{-X_k dt}, which preserve the Hermitian structure and the trace
-exactly; the commutant constraint on u_k is enforced by projection at the
-current state, and the endpoint and positivity constraints by one penalty
-weight that continuation doubles each round.  Each round is one L-BFGS-B
-solve (``scipy.optimize.minimize``) over the ``skew_basis``/``herm_basis``
-coordinates of the per-step controls.
+exactly.  The solver keeps each state in eigen-coordinates, rho_k = V_k
+diag(w_k) V_k*, the paper's split of a flow into a rotation of the
+eigenframe and a scaling of the eigenvalues.  Its controls are the
+generators X_k and the eigenvalue rates d_k (traceless), with u_k = V_k
+diag(d_k) V_k*, so u_k commutes with rho_k by construction and the step is
+exact in these coordinates: V_{k+1} = e^{X_k dt} V_k, w_{k+1} = w_k + d_k
+dt.  Where rho0 has a repeated eigenvalue, V_0 = U0 e^{B(b)} for rotations
+b inside its degenerate groups, which choose the axes the drift scales.
+The endpoint and positivity constraints are one penalty weight that
+continuation doubles each round.  Each round is one L-BFGS-B solve
+(``scipy.optimize.minimize``) over the ``skew_basis`` coordinates of the
+X_k, the d_k and b.
 
-The gradient of the smoothed objective is one reverse sweep over the
-rollout, reusing the eigenpairs and propagators it kept.  It carries
-lam = dJ/d rho_{k+1} back through each propagator, through the commutant
-projection (self-adjoint in the controls, and dependent on rho_k through
-its eigenvectors), and picks up the positivity penalty at every state.  The
-sweep only stores each lam; one ``expm_skew_adjoint`` call over the whole
-stack then turns them into the X gradients, on the eigenpairs of X_k dt
-that built the propagators, so no generator is decomposed twice.  The
-returned path is the engine's own final trajectory, the one that decides
-convergence.
+A rollout is one batched ``eig_skew`` of all X_k dt, a running product for
+the frames, a ``cumsum`` for the eigenvalues and one batched build of the
+states.  Its gradient needs no sweep: every frame is unitary, so the
+propagator from step k+1 to the end is V_N V_{k+1}*, and one
+``expm_skew_adjoint`` call on the rollout's eigenpairs gives every X
+gradient; the d gradients are a reverse ``cumsum``.  The returned path is
+the engine's own final trajectory, the one that decides convergence.
 """
 
 from __future__ import annotations
@@ -28,24 +32,22 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .geodesic import solve_geodesic
+from .geodesic import _gauge_generators, solve_geodesic
 from .linalg import (
     along,
     check_count,
     coords,
-    commutator,
     dagger,
     degeneracy_groups,
+    eig_hermitian,
     eig_skew,
     exp_i,
     expm_skew,
     expm_skew_adjoint,
-    expm_skew_times,
-    herm_basis,
     hermitian_part,
     skew_basis,
 )
-from .tangent import project_commutant, project_commutant_eig
+from .tangent import project_commutant
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class DiscretePath:
     dt: float
     states: np.ndarray  # (N+1, n, n)
     Xs: np.ndarray  # (N, n, n) skew-Hermitian rotation generators
-    us: np.ndarray  # (N, n, n) commutant-projected scaling controls
+    us: np.ndarray  # (N, n, n) scaling controls V_k diag(d_k) V_k*, commuting with states[k]
     cost: float
     endpoint_residual: float
     converged: bool
@@ -86,7 +88,7 @@ def discrete_cost(path: DiscretePath, epsilon: float) -> float:
     return float((xs + epsilon * us).sum() * path.dt)
 
 
-# --- descent engine (one simulation gives the objective, one reverse sweep its gradient) ---
+# --- descent engine (one rollout gives the objective, one batched adjoint its gradient) ---
 
 _WEIGHT = 1e4  # initial penalty weight; continuation doubles it each round
 _REL_TOL = 1e-8  # an iteration that lowers the objective by less than this, relatively, ends a round
@@ -97,106 +99,107 @@ def _smooth(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + _DELTA * _DELTA) - _DELTA
 
 
-def _smooth_grad(A: np.ndarray) -> np.ndarray:
-    """Gradient of _smooth(||A||_F) in A, matrixwise over a stack."""
-    return A / np.sqrt(np.linalg.norm(A, axis=(-2, -1), keepdims=True) ** 2 + _DELTA * _DELTA)
+def _smooth_grad(A: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Gradient of _smooth(||A||) in A, over ``axis``, for each item of a stack."""
+    return A / np.sqrt(np.linalg.norm(A, axis=axis, keepdims=True) ** 2 + _DELTA * _DELTA)
 
 
 class _Path(NamedTuple):
-    """One rollout: states 0..N, projected controls 0..N-1 and unweighted objective terms."""
+    """One rollout: controls, frames, eigenvalues, states and unweighted objective terms."""
 
-    states: np.ndarray
-    w: np.ndarray  # (N+1, n) ascending eigenvalues of each state
-    V: np.ndarray  # (N+1, n, n) their eigenvectors
+    Xs: np.ndarray  # (N, n, n) rotation generators
+    d: np.ndarray  # (N, n) traceless eigenvalue rates
+    beta: tuple | None  # eig_skew(B(b)), V_0 = U0 e^{B(b)}; None when b is empty
     theta: np.ndarray  # (N, n) eigenvalues of -i X_k dt
     W: np.ndarray  # (N, n, n) their eigenvectors
-    props: np.ndarray  # (N, n, n) e^{X_k dt}, from theta and W
-    us: np.ndarray
-    cost: float  # smoothed sum_k (||X_k|| + epsilon ||u_k||) dt
-    neg: float  # sum of squared negative lowest eigenvalues of states 1..N
+    V: np.ndarray  # (N+1, n, n) frames, V_{k+1} = e^{X_k dt} V_k
+    w: np.ndarray  # (N+1, n) eigenvalues, w_{k+1} = w_k + d_k dt
+    states: np.ndarray  # (N+1, n, n) V_k diag(w_k) V_k*
+    us: np.ndarray  # (N, n, n) V_k diag(d_k) V_k*
+    cost: float  # smoothed sum_k (||X_k|| + epsilon ||d_k||) dt
+    neg: float  # sum of squared negative eigenvalues of states 1..N
     end: float  # endpoint residual ||rho_N - rho1||_F
 
 
 class _Engine:
-    """Objective evaluation and reverse-sweep gradient for the solver."""
+    """Rollout and gradient over the flat control vector x = (X_k coordinates,
+    d_k, b) of the solver."""
 
     def __init__(self, rho0, rho1, epsilon, N):
-        self.rho0 = rho0
         self.rho1 = rho1
         self.eps = epsilon
         self.N = N
-        self.n = rho0.shape[0]
+        self.n = n = rho0.shape[0]
         self.dt = 1.0 / N
         self.w = _WEIGHT
-        self.SX = skew_basis(self.n)
-        self.SU = herm_basis(self.n)
+        self.SX = skew_basis(n)
+        self.w0, self.U0 = eig_hermitian(rho0)
+        # the in-group rotations of the gauge generators; column phases are pure gauge
+        self.SB = _gauge_generators(tuple(degeneracy_groups(self.w0).tolist()))[n:]
 
-    def simulate(self, Xs, u_raws):
-        """The whole path from rho0.  Its terms are unweighted, so
-        continuation re-weights them without simulating again."""
+    def start(self, X, Z):
+        """x of the constant controls X, Z: with V_0 = U0, the rollout is the
+        geodesic e^{X t_k}(rho0 + Z t_k)e^{-X t_k} sampled at t_k = k/N."""
+        z = np.diagonal(dagger(self.U0) @ Z @ self.U0).real
+        cX = coords(X, self.SX)
+        return np.concatenate([np.tile(cX, self.N), np.tile(z, self.N), np.zeros(len(self.SB))])
+
+    def simulate(self, x):
+        """The whole path from rho0 under the controls x, each d_k's mean
+        removed.  Its terms are unweighted, so continuation re-weights them
+        without simulating again."""
         N, n, dt = self.N, self.n, self.dt
-        states = np.empty((N + 1, n, n), dtype=complex)
-        w = np.empty((N + 1, n))
-        V = np.empty((N + 1, n, n), dtype=complex)
-        us = np.empty((N, n, n), dtype=complex)
+        cX, d, b = np.split(x, [N * n * n, N * n * (n + 1)])
+        Xs = np.tensordot(cX.reshape(N, n * n), self.SX, 1)
+        d = d.reshape(N, n)
+        d = d - d.mean(axis=1, keepdims=True)
         theta, W = eig_skew(Xs * dt)
         props = exp_i(theta, W)
-        states[0] = rho = self.rho0
-        w[0], V[0] = np.linalg.eigh(rho)
-        for k, E in enumerate(props):
-            us[k] = project_commutant_eig(w[k], V[k], u_raws[k])
-            states[k + 1] = rho = hermitian_part(E @ (rho + us[k] * dt) @ dagger(E))
-            w[k + 1], V[k + 1] = np.linalg.eigh(rho)
+        beta = eig_skew(np.tensordot(b, self.SB, 1)) if len(b) else None
+        V = np.empty((N + 1, n, n), dtype=complex)
+        V[0] = self.U0 if beta is None else self.U0 @ exp_i(*beta)
+        for k in range(N):
+            V[k + 1] = props[k] @ V[k]
+        w = self.w0 + dt * np.concatenate([np.zeros((1, n)), np.cumsum(d, axis=0)])
+        states = hermitian_part((V * w[:, None, :]) @ dagger(V))
+        us = hermitian_part((V[:-1] * d[:, None, :]) @ dagger(V[:-1]))
         xcost = _smooth(np.linalg.norm(Xs, axis=(1, 2)))
-        ucost = self.eps * _smooth(np.linalg.norm(us, axis=(1, 2)))
-        return _Path(states, w, V, theta, W, props, us, float((xcost + ucost).sum() * dt),
-                     float((np.minimum(w[1:, 0], 0.0) ** 2).sum()),
-                     float(np.linalg.norm(rho - self.rho1)))
+        dcost = self.eps * _smooth(np.linalg.norm(d, axis=1))
+        return _Path(Xs, d, beta, theta, W, V, w, states, us, float((xcost + dcost).sum() * dt),
+                     float((np.minimum(w[1:], 0.0) ** 2).sum()),
+                     float(np.linalg.norm(states[N] - self.rho1)))
 
     def objective(self, r):
         """Smoothed cost plus the weighted penalties."""
         return r.cost + self.w * (r.neg + r.end**2)
 
-    def gradient(self, Xs, u_raws, sim):
-        """Derivatives of the objective along the control bases, by one
-        reverse sweep over their rollout ``sim``: lam = dJ/d rho_{k+1} goes back
-        through rho_{k+1} = E_k M_k E_k*, E_k = e^{X_k dt}, M_k = rho_k +
-        P_{rho_k}(u_raw_k) dt, to u_raw_k through the self-adjoint projection
-        P, and to rho_k through M_k, the eigenvectors P uses and the
-        positivity term.  The sweep keeps every lam; after it, one batched
-        adjoint on the eigenpairs ``sim`` kept for the E_k gives every X_k
-        its gradient, with no eigendecomposition in the loop."""
-        N, dt = self.N, self.dt
-        states, w, V, us = sim.states, sim.w, sim.V, sim.us
-        # P_rho(u) = V (B o V* u V) V* with the block mask B; a move of rho turns V
-        # by the skew C = F o (V* drho V), F_jk = 1/(w_k - w_j) across blocks
-        labels = degeneracy_groups(w)
-        B = labels[:, :, None] == labels[:, None, :]
-        F = np.zeros(B.shape)
-        np.divide(1.0, w[:, None, :] - w[:, :, None], out=F, where=~B)
-        A = dagger(V[:-1]) @ u_raws @ V[:-1]
-        # gradient of self.w min(w_0, 0)^2 at each state, v_0 its lowest eigenvector
-        v0 = V[:, :, :1]
-        pos = 2.0 * self.w * np.minimum(w[:, 0], 0.0)[:, None, None] * (v0 @ dagger(v0))
-        gX = dt * _smooth_grad(Xs)
-        g = dt * self.eps * _smooth_grad(us)  # dJ/du_k, completed in the sweep
-        lam = 2.0 * self.w * (states[N] - self.rho1) + pos[N]
-        lams = np.empty_like(states[1:])  # lams[k] = dJ/drho_{k+1}
-        for k in range(N - 1, -1, -1):
-            E, Vk = sim.props[k], V[k]
-            lams[k] = lam
-            lam = dagger(E) @ lam @ E  # dJ/dM_k
-            g[k] += dt * lam
-            G = dagger(Vk) @ g[k] @ Vk
-            K = commutator(G, B[k] * A[k]) + commutator(A[k], B[k] * G)
-            # lam after step 0 is dJ/drho0, unused: rho0 is fixed
-            lam = lam + Vk @ (F[k] * K) @ dagger(Vk) + pos[k]
-        # dJ/dE_k = 2 lam_{k+1} E_k M_k; the adjoint on the forward eigenpairs
-        # of X_k dt gives the gradient in X_k dt, so X_k's is dt times it
-        Y = 2.0 * lams @ sim.props @ (states[:-1] + us * dt)
-        gX += dt * expm_skew_adjoint(sim.theta, sim.W, [1.0], Y[:, None])
-        gU = project_commutant_eig(w[:-1], V[:-1], g)
-        return along(gX, self.SX), along(gU, self.SU)
+    def gradient(self, sim):
+        """Derivatives of the objective along x at its rollout ``sim``.
+
+        Only the endpoint term sees the frames.  With G = dJ/d rho_N and
+        Gamma = dJ/dV_N = 2 G V_N diag(w_N), and V_N = (V_N V_{k+1}*) E_k V_k
+        for E_k = e^{X_k dt}, dJ/dE_k = V_{k+1} (V_N* Gamma) V_k* for every k
+        at once; the adjoint on the eigenpairs of X_k dt that built E_k
+        turns them into the X gradients, and dJ/dV_0 = V_0 V_N* Gamma,
+        through V_0 = U0 e^{B(b)}, into the b gradient.  The d gradients
+        are dt times the reverse cumsum of dJ/dw over the later states.
+        """
+        dt, V, w = self.dt, sim.V, sim.w
+        G = 2.0 * self.w * (sim.states[-1] - self.rho1)
+        GV = dagger(V[-1]) @ G @ V[-1]
+        H = GV * (2.0 * w[-1])  # V_N* Gamma
+        Y = V[1:] @ H @ dagger(V[:-1])
+        # adjoint in X_k dt on its eigenpairs; X_k's gradient is dt times it
+        gX = dt * (_smooth_grad(sim.Xs) + expm_skew_adjoint(sim.theta, sim.W, [1.0], Y[:, None]))
+        gw = 2.0 * self.w * np.minimum(w[1:], 0.0)
+        gw[-1] += np.diagonal(GV).real
+        gd = dt * (np.cumsum(gw[::-1], axis=0)[::-1] + self.eps * _smooth_grad(sim.d, axis=-1))
+        gd -= gd.mean(axis=1, keepdims=True)
+        gb = np.zeros(0)
+        if sim.beta is not None:
+            gB = expm_skew_adjoint(*sim.beta, [1.0], (dagger(self.U0) @ V[0] @ H)[None])
+            gb = along(gB, self.SB)
+        return np.concatenate([along(gX, self.SX).ravel(), gd.ravel(), gb])
 
 
 def solve_discrete_path(
@@ -210,16 +213,17 @@ def solve_discrete_path(
 ) -> DiscretePath:
     """Minimize the discretized rotation-plus-scaling cost between endpoints.
 
-    Initialization takes the constant-control solution and conjugates its
-    drift along the path (X_k = X, u_raw_k = e^{X t_k} Z e^{-X t_k}), which
-    reproduces the closed-form path exactly in the discrete dynamics; the
-    descent can then only improve on it.  One penalty weight multiplies the
-    squared endpoint residual plus the squared negative eigenvalues of the
-    states; continuation doubles it until the residual meets ``tol_end`` or
-    ``max_rounds`` is exhausted (the best path is returned flagged
-    non-converged in that case).  Each round is one L-BFGS-B solve of at
-    most ``max_iters`` iterations, which stops early once an iteration
-    lowers the objective by less than 1e-8 relative to max(1, objective).
+    Initialization takes the constant-control solution: X_k = X, d_k the
+    eigenvalues of its drift Z in the eigenbasis U0 of rho0 that Z is built
+    on, V_0 = U0, which reproduces the closed-form path exactly in the
+    discrete dynamics; the descent can then only improve on it.  One
+    penalty weight multiplies the squared endpoint residual plus the squared
+    negative eigenvalues of the states; continuation doubles it until the
+    residual meets ``tol_end`` or ``max_rounds`` is exhausted (the best path
+    is returned flagged non-converged in that case).  Each round is one
+    L-BFGS-B solve of at most ``max_iters`` iterations, which stops early
+    once an iteration lowers the objective by less than 1e-8 relative to
+    max(1, objective).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     rho1 = np.asarray(rho1, dtype=complex)
@@ -230,24 +234,14 @@ def solve_discrete_path(
     max_iters = check_count("max_iters", max_iters, 0)
 
     base = solve_geodesic(rho0, rho1, epsilon)
-    Xs = np.repeat(base.X[None], N, axis=0)
-    U = expm_skew_times(base.X, np.arange(N) / N)
-    u_raws = hermitian_part(U @ base.Z @ dagger(U))
-
     eng = _Engine(rho0, rho1, epsilon, N)
 
-    def controls(x):
-        """(Xs, u_raws) from x, their coordinates in the two bases, stacked."""
-        cX, cU = x.reshape(2, N, -1)
-        return np.tensordot(cX, eng.SX, 1), np.tensordot(cU, eng.SU, 1)
-
     def fun(x):
-        Xs, u_raws = controls(x)
-        sim = eng.simulate(Xs, u_raws)
-        return eng.objective(sim), np.ravel(eng.gradient(Xs, u_raws, sim))
+        sim = eng.simulate(x)
+        return eng.objective(sim), eng.gradient(sim)
 
-    x = np.ravel([coords(Xs, eng.SX), coords(u_raws, eng.SU)])
-    sim = eng.simulate(*controls(x))
+    x = eng.start(base.X, base.Z)
+    sim = eng.simulate(x)
     traces: list[tuple[float, ...]] = []
     for rounds_used in range(1, max_rounds + 1):
         trace = [eng.objective(sim)]
@@ -258,7 +252,7 @@ def solve_discrete_path(
                 options={"maxiter": max_iters, "ftol": _REL_TOL},
                 callback=lambda intermediate_result: trace.append(float(intermediate_result.fun)),
             ).x
-            sim = eng.simulate(*controls(x))
+            sim = eng.simulate(x)
         traces.append(tuple(trace))
         if sim.end <= tol_end:
             break
@@ -268,7 +262,7 @@ def solve_discrete_path(
         N=N,
         dt=1.0 / N,
         states=sim.states,
-        Xs=controls(x)[0],
+        Xs=sim.Xs,
         us=sim.us,
         cost=0.0,
         endpoint_residual=sim.end,

@@ -274,6 +274,22 @@ class TestInterpolate:
         ])
         assert nonherm == 3
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 2.5, "re": [[1.0, 0.0], [0.0, 1.0]]},
+        {"n": True, "re": [[1.0]]},
+    ], ids=["n fractional", "n boolean"])
+    def test_non_integer_dimension_exits_3(self, docs, tmp_path, doc, capfd):
+        # a dimension is never truncated: 2.5 does not load as a 2x2 matrix
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        out = docs / "run"
+        code = main([
+            "interpolate", "--rho0", str(tmp_path / "bad.json"),
+            "--rho1", str(docs / "rho1.json"), "--epsilon", "1", "--out", str(out),
+        ])
+        assert code == 3
+        assert "positive integer field 'n'" in capfd.readouterr().err
+        assert not (out / "solution.json").exists()
+
     def test_usage_error_exits_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["interpolate", "--epsilon", "1"])

@@ -5,11 +5,12 @@ import pytest
 
 from conftest import random_hermitian, random_psd, random_skew, random_unitary
 
-from denflow.geodesic import InfeasibleError, eval_path, path_cost, solve_geodesic
-from denflow.linalg import coords, expm_skew, frob_norm, herm_basis, skew_basis
+from denflow.geodesic import InfeasibleError, eval_path, path_cost, sample_path, solve_geodesic
+from denflow.linalg import expm_skew, frob_norm
 from denflow.transcription import (
     DiscretePath,
     _Engine,
+    _smooth,
     discrete_cost,
     solve_discrete_path,
     step,
@@ -42,6 +43,26 @@ def as_path(rho0, rho1, X, Z, N, conjugate=True):
         endpoint_residual=float(frob_norm(states[N] - rho1)),
         converged=True, rounds=1, objective_trace=((0.0,),),
     )
+
+
+def assert_path_invariants(path, rho0):
+    """[rho_k, u_k] = 0, trace kept, states rebuilt by ``step``, PSD."""
+    tr = np.trace(rho0).real
+    for k in range(path.N):
+        rho, u = path.states[k], path.us[k]
+        assert frob_norm(rho @ u - u @ rho) <= 1e-8
+        assert abs(np.trace(u)) <= 1e-10
+        assert abs(np.trace(path.states[k + 1]).real - tr) <= 1e-9
+        # states come from the step map applied to the stored controls; step
+        # re-projects u_k on the eigenvectors of rho_k, which rounding turns
+        # by ~1e-16/gap where two eigenvalues it keeps apart nearly cross
+        w = np.linalg.eigvalsh(rho)
+        gaps = np.diff(w)
+        gap = gaps[gaps > 1e-8 * np.abs(w).max()].min(initial=np.inf)
+        rebuilt, _ = step(rho, path.Xs[k], path.us[k], path.dt)
+        assert frob_norm(rebuilt - path.states[k + 1]) <= max(1e-12, 1e-16 / gap)
+    mins = np.linalg.eigvalsh(path.states).min(axis=1)
+    assert mins.min() >= -1e-8
 
 
 class TestStep:
@@ -149,18 +170,23 @@ class TestSolver:
     def test_path_invariants(self):
         rho0 = np.diag([1.0, 0.1]).astype(complex)
         rho1 = np.array([[0.4, 0.3], [0.3, 0.7]], dtype=complex)
-        path = solve_discrete_path(rho0, rho1, 1.0, steps=20)
-        tr = np.trace(rho0).real
-        for k in range(path.N):
-            rho, u = path.states[k], path.us[k]
-            assert frob_norm(rho @ u - u @ rho) <= 1e-8
-            assert abs(np.trace(u)) <= 1e-10
-            assert abs(np.trace(path.states[k + 1]).real - tr) <= 1e-9
-            # states come from the step map applied to the stored controls
-            rebuilt, _ = step(rho, path.Xs[k], path.us[k], path.dt)
-            assert frob_norm(rebuilt - path.states[k + 1]) <= 1e-12
-        mins = np.linalg.eigvalsh(path.states).min(axis=1)
-        assert mins.min() >= -1e-8
+        assert_path_invariants(solve_discrete_path(rho0, rho1, 1.0, steps=20), rho0)
+
+    @pytest.mark.parametrize("eps", [0.3, 3.0])
+    @pytest.mark.parametrize("spectrum", [(0.4, 0.4, 0.2), (0.5, 0.5, 0.0)],
+                             ids=["double", "double-rank-2"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_degenerate_start_converges(self, seed, spectrum, eps):
+        # a repeated eigenvalue of rho0, rank-deficient in the second
+        # spectrum: b turns the drift's axes inside the double eigenspace
+        rng = np.random.default_rng(seed)
+        Q = random_unitary(rng, 3)
+        rho0 = (Q * np.array(spectrum)) @ Q.conj().T
+        rho1 = random_psd(rng, 3)
+        rho1 /= np.trace(rho1).real
+        path = solve_discrete_path(rho0, rho1, eps)
+        assert path.converged
+        assert_path_invariants(path, rho0)
 
     def test_refinement_converges_first_order(self):
         # a genuinely state-dependent drift (constant raw control that does
@@ -229,9 +255,10 @@ class TestSolver:
     @pytest.mark.parametrize("kw", [dict(max_rounds=0), dict(max_rounds=-1), dict(max_iters=-1),
                                     dict(tol_end=np.nan), dict(tol_end=-1.0),
                                     dict(steps=2.7), dict(max_iters=2.5), dict(max_rounds=1.5),
-                                    dict(max_iters=np.nan), dict(steps=None)])
+                                    dict(max_iters=np.nan), dict(steps=None),
+                                    dict(max_iters=True)])
     def test_bad_budget_rejected(self, kw):
-        # a fractional budget is rejected, never rounded or truncated
+        # a fractional or boolean budget is rejected, never rounded or truncated
         rho = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(ValueError, match=next(iter(kw))):
             solve_discrete_path(rho, rho, 1.0, **{"steps": 4, **kw})
@@ -249,11 +276,12 @@ class TestGradient:
         pytest.param(3, 3, (0.01, 0.01, 0.98), id="3-3-repeated"),
     ])
     def test_matches_central_differences_of_the_objective(self, n, N, spectrum):
-        # the reverse sweep must give the derivatives that whole-path
-        # simulations perturbed one coordinate at a time give
-        # rho0 is nearly singular, so the path turns negative, and rho1 lies
-        # near the path's end: all three objective terms show in the gradient;
-        # a repeated eigenvalue of rho0 puts a 2x2 commutant block at step 0
+        # the batched adjoint must give the derivatives that whole-path
+        # simulations perturbed one coordinate of x = (X_k, d_k, b) at a
+        # time give; rho0 is nearly singular and d_k drives its lowest
+        # eigenvalue down, so the path turns negative, and rho1 lies near
+        # the path's end: all three objective terms show in the gradient;
+        # a repeated eigenvalue of rho0 gives b two in-group rotations, set nonzero
         rng = np.random.default_rng(60)
         if spectrum is None:
             rho0 = random_psd(rng, n)
@@ -261,31 +289,84 @@ class TestGradient:
         else:
             Q = random_unitary(rng, n)
             rho0 = (Q * np.array(spectrum)) @ Q.conj().T
-        Xs = np.stack([random_skew(rng, n, 0.5) for _ in range(N)])
-        u_raws = np.stack([random_hermitian(rng, n, 0.5) for _ in range(N)])
+        eng = _Engine(rho0, rho0, 0.7, N)
+        assert len(eng.SB) == (0 if spectrum is None else 2)
+        x = rng.normal(scale=0.5, size=N * n * (n + 1) + len(eng.SB))
+        x[N * n * n :: n][:N] -= 1.0  # d_k of the lowest eigenvalue
         D = random_hermitian(rng, n, 0.01)
-        end = _Engine(rho0, rho0, 0.7, N).simulate(Xs, u_raws).states[-1]
+        end = eng.simulate(x).states[-1]
         eng = _Engine(rho0, end + D - np.trace(D) / n * np.eye(n), 0.7, N)
-        sim = eng.simulate(Xs, u_raws)
+        sim = eng.simulate(x)
         assert sim.neg > 0.0 and sim.end > 0.0
-        gX, gU = eng.gradient(Xs, u_raws, sim)
+        assert np.all(x[N * n * (n + 1) :] != 0.0)
+        g = eng.gradient(sim)
 
-        def phi(Xs, u_raws):
-            return float(eng.objective(eng.simulate(Xs, u_raws)))
+        def phi(x):
+            return eng.objective(eng.simulate(x))
 
-        def central(controls, basis, perturb):
-            ref = np.empty((N, n * n))
-            for k in range(N):
-                for i, S in enumerate(basis):
-                    h = 1e-6 * max(1.0, abs(coords(controls[k], basis)[i]))
-                    plus, minus = controls.copy(), controls.copy()
-                    plus[k] += h * S
-                    minus[k] -= h * S
-                    ref[k, i] = (perturb(plus) - perturb(minus)) / (2 * h)
-            return ref
+        ref = np.empty_like(x)
+        for i in range(len(x)):
+            h = 1e-6 * max(1.0, abs(x[i]))
+            plus, minus = x.copy(), x.copy()
+            plus[i] += h
+            minus[i] -= h
+            ref[i] = (phi(plus) - phi(minus)) / (2 * h)
+        assert np.abs(g - ref).max() <= 1e-7 * max(1.0, np.abs(g).max())
 
-        refX = central(Xs, skew_basis(n), lambda c: phi(c, u_raws))
-        refU = central(u_raws, herm_basis(n), lambda c: phi(Xs, c))
-        tol = 1e-7 * max(1.0, np.abs(gX).max(), np.abs(gU).max())
-        assert np.abs(gX - refX).max() <= tol
-        assert np.abs(gU - refU).max() <= tol
+    @pytest.mark.parametrize("n, spectrum", [
+        pytest.param(2, None, id="2"),
+        pytest.param(3, None, id="3"),
+        pytest.param(3, (0.3, 0.3, 0.4), id="3-repeated"),
+    ])
+    def test_rollout_matches_step_composition(self, n, spectrum):
+        # at equal controls the engine's states and objective are those of
+        # composing ``step`` with its X_k and u_k, which ``step`` leaves
+        # unprojected because each u_k commutes with its state
+        rng = np.random.default_rng(61)
+        if spectrum is None:
+            rho0 = random_psd(rng, n)
+        else:
+            Q = random_unitary(rng, n)
+            rho0 = (Q * np.array(spectrum)) @ Q.conj().T
+        rho1 = random_psd(rng, n)
+        rho1 *= np.trace(rho0).real / np.trace(rho1).real
+        N = 8
+        eng = _Engine(rho0, rho1, 0.7, N)
+        x = rng.normal(size=N * n * (n + 1) + len(eng.SB))
+        x[N * n * n :: n][:N] -= 1.0  # d_k of the lowest eigenvalue, so the path turns negative
+        sim = eng.simulate(x)
+        assert sim.neg > 0.0
+        states = [rho0]
+        for k in range(N):
+            rho, u = step(states[-1], sim.Xs[k], sim.us[k], 1.0 / N)
+            assert frob_norm(u - sim.us[k]) <= 1e-12
+            states.append(rho)
+        states = np.array(states)
+        assert np.abs(states - sim.states).max() <= 1e-12
+        neg = (np.minimum(np.linalg.eigvalsh(states[1:]), 0.0) ** 2).sum()
+        cost = (_smooth(np.linalg.norm(sim.Xs, axis=(1, 2)))
+                + 0.7 * _smooth(np.linalg.norm(sim.us, axis=(1, 2)))).sum() / N
+        J = cost + eng.w * (neg + frob_norm(states[N] - rho1) ** 2)
+        assert abs(eng.objective(sim) - J) <= 1e-12 * max(1.0, J)
+
+    @pytest.mark.parametrize("n, spectrum", [
+        pytest.param(2, None, id="2"),
+        pytest.param(3, None, id="3"),
+        pytest.param(3, (0.4, 0.4, 0.2), id="3-repeated"),
+    ])
+    def test_initializer_reproduces_the_geodesic(self, n, spectrum):
+        # round 0 (no descent) is the constant-control path sampled at t_k = k/N
+        rng = np.random.default_rng(62)
+        if spectrum is None:
+            rho0 = random_psd(rng, n)
+        else:
+            Q = random_unitary(rng, n)
+            rho0 = (Q * np.array(spectrum)) @ Q.conj().T
+        rho1 = random_psd(rng, n)
+        rho1 *= np.trace(rho0).real / np.trace(rho1).real
+        N = 20
+        base = solve_geodesic(rho0, rho1, 1.0)
+        path = solve_discrete_path(rho0, rho1, 1.0, steps=N, max_rounds=1, max_iters=0)
+        want = sample_path(base, rho0, np.arange(N + 1) / N)
+        assert np.abs(path.states - want).max() <= 1e-12
+        assert np.abs(path.Xs - base.X).max() <= 1e-12
