@@ -16,7 +16,6 @@ from .geodesic import (
     solve_geodesic,
 )
 from .linalg import (
-    BranchAmbiguityError,
     EigenDecomposition,
     commutator,
     eig_hermitian,
@@ -48,7 +47,6 @@ from .transcription import (
 )
 
 __all__ = [
-    "BranchAmbiguityError",
     "CostBreakdown",
     "DiscretePath",
     "EigenDecomposition",

@@ -224,7 +224,8 @@ def _write_sampled_path(out_dir, times, states, fmt, glyphs, stem="path"):
 
 
 def parse_times(text: str) -> np.ndarray:
-    """Either 'start:step:stop' (inclusive grid) or a comma list of finite times."""
+    """Either 'start:step:stop' (inclusive grid: start + k step up to and never
+    past stop) or a comma list of finite times."""
     try:
         grid = ":" in text
         values = np.array([float(x) for x in text.split(":" if grid else ",")])
@@ -235,8 +236,10 @@ def parse_times(text: str) -> np.ndarray:
         start, step_, stop = values
         if step_ <= 0 or stop < start:
             raise ValueError("need step > 0 and stop >= start")
-        count = int(round((stop - start) / step_)) + 1
-        return np.round(start + step_ * np.arange(count), 12)
+        # the slack keeps a stop that the grid reaches up to rounding, and
+        # the clip keeps that last point from passing it
+        count = int(np.floor((stop - start) / step_ + 1e-9)) + 1
+        return np.minimum(np.round(start + step_ * np.arange(count), 12), stop)
     except ValueError as exc:
         raise DocumentError(f"bad --times specification '{text}': {exc}") from None
 
@@ -490,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="rotation generator document (skew)")
     p.add_argument("--z", required=True, help="drift rates, comma-separated")
     p.add_argument("--times", required=True,
-                   help="sample times: 'start:step:stop' or comma list")
+                   help="sample times: 'start:step:stop' (inclusive, never past "
+                        "stop) or comma list")
     p.add_argument("--noise", type=float, required=True, help="uniform noise amplitude")
     p.add_argument("--seed", type=int, required=True, help="noise seed")
     p.add_argument("--complex-noise", action="store_true", dest="complex_noise",

@@ -50,7 +50,6 @@ import numpy as np
 from scipy.optimize import golden, linear_sum_assignment
 
 from .linalg import (
-    BranchAmbiguityError,
     dagger,
     degeneracy_groups,
     eig_hermitian,
@@ -236,9 +235,8 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
     real frames — is searched to minimize the log norm, one coordinate at
     a time along the one-parameter subgroups e^{aS} of a column phase or
     of a real or imaginary rotation inside a block (see ``_gauge_search``).
-    Repeated entries are grouped by ``linalg.degeneracy_groups``.  Raises
-    BranchAmbiguityError if the optimal alignment has an eigenphase at the
-    principal-branch cut (callers may retry via a gauge nudge).
+    Repeated entries are grouped by ``linalg.degeneracy_groups``.  X is the
+    principal logarithm of the aligned frame map, which every unitary has.
     """
     _, Theta = _gauge_search(U0p, U1, spectrum)
     return logm_unitary(U1 @ Theta @ U0p.conj().T)
@@ -367,20 +365,7 @@ def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> Geodes
             best = cand
 
     _, _, perm, z, U0p, Theta = best
-    X = None
-    nudges = (0.0, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e-3)
-    for k, delta in enumerate(nudges):
-        # right-multiplying Theta by diagonal phases is a commuting gauge:
-        # feasibility is preserved exactly, the nudge only steps off the
-        # branch cut at the price of an O(delta) cost increase
-        phases = np.exp(1j * delta * np.arange(1, n + 1))
-        try:
-            X = logm_unitary(U1 @ (Theta * phases[None, :]) @ U0p.conj().T)
-            break
-        except BranchAmbiguityError:
-            if k == len(nudges) - 1:
-                raise
-
+    X = logm_unitary(U1 @ Theta @ U0p.conj().T)
     Z = hermitian_part(U0 @ (z[:, None] * U0.conj().T))
     costs = path_cost(X, Z, epsilon)
     return GeodesicSolution(
@@ -407,8 +392,6 @@ def eval_path(sol: GeodesicSolution, rho0: np.ndarray, t: float) -> np.ndarray:
 def sample_path(sol: GeodesicSolution, rho0: np.ndarray, times) -> np.ndarray:
     """Path evaluated at many times from a single eigendecomposition of X."""
     ts = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("path times must be finite")
     U = expm_skew_times(sol.X, ts)
     core = np.asarray(rho0, dtype=complex) + sol.Z * ts[:, None, None]
     return hermitian_part(U @ core @ dagger(U))

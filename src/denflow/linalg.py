@@ -12,11 +12,12 @@ from ``eig_skew``, so a caller that keeps them decomposes each X once.  The
 principal logarithm of unitary matrices, commutators, the Frobenius (trace)
 inner product and a coordinate basis of the skew-Hermitian matrices complete
 the set.  The unitary eigendecomposition behind the logarithm is read off
-a complex Schur form, and ``degeneracy_groups`` holds the one rule for
-which eigenvalues count as degenerate.  ``check_count`` is the one check
-that a solver budget (steps, rounds, iterations, starts) is a whole number
-in range.  Matrices are plain ``numpy`` arrays of ``complex`` dtype;
-targeted sizes are n ~ 2..10.
+a complex Schur form.  Every unitary has a principal logarithm, its
+eigenphases taken in (-pi, pi], so the logarithm refuses no input.
+``degeneracy_groups`` holds the one rule for which eigenvalues count as
+degenerate.  ``check_count`` is the one check that a solver budget (steps,
+rounds, iterations, starts) is a whole number in range.  Matrices are
+plain ``numpy`` arrays of ``complex`` dtype; targeted sizes are n ~ 2..10.
 """
 
 from __future__ import annotations
@@ -27,19 +28,6 @@ import numpy as np
 from scipy.linalg import schur
 
 _DEGENERACY_TOL = 1e-8  # relative eigenvalue gap below which values are one group
-_BRANCH_TOL = 1e-8  # eigenphases this close to -pi are ambiguous for the log
-
-
-class BranchAmbiguityError(ValueError):
-    """A unitary eigenphase sits at the principal-branch cut near -pi.
-
-    The sign of such a phase is not stable under perturbations of the
-    input; callers may retry after perturbing the matrix (or a gauge).
-    """
-
-    def __init__(self, phase: float):
-        super().__init__(f"eigenphase {phase:.12f} is within tolerance of -pi")
-        self.phase = phase
 
 
 class EigenDecomposition(NamedTuple):
@@ -210,9 +198,12 @@ def expm_skew(X: np.ndarray) -> np.ndarray:
 
 def expm_skew_times(X: np.ndarray, times) -> np.ndarray:
     """Propagators e^{Xt}, shape (len(times), n, n), from one
-    eigendecomposition of -iX."""
+    eigendecomposition of -iX.  Raises ValueError on a non-finite time."""
+    ts = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("path times must be finite")
     theta, W = eig_skew(X)
-    return exp_i(theta * np.asarray(times, dtype=float)[:, None], W)
+    return exp_i(theta * ts[:, None], W)
 
 
 def expm_skew_adjoint(theta: np.ndarray, W: np.ndarray, times, Y) -> np.ndarray:
@@ -255,17 +246,14 @@ def eig_unitary(Q: np.ndarray) -> EigenDecomposition:
 
 
 def logm_unitary(Q: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a unitary matrix: eigenphases taken in (-pi, pi].
+    """Principal logarithm W diag(i phi) W* of a unitary Q, with the
+    eigenphases phi of ``eig_unitary`` in (-pi, pi].
 
-    Raises :class:`BranchAmbiguityError` if an eigenphase lies within
-    ``_BRANCH_TOL`` of -pi, where the branch choice is unstable.
+    Every unitary has one.  At an eigenphase of +-pi the two branches give
+    logarithms of equal norm, so a phase rounded across the cut still
+    returns a skew-Hermitian X with e^X = Q and the same ||X||_F.
     """
     phases, W = eig_unitary(Q)
-    if len(phases):
-        worst = float(phases[np.argmax(np.abs(phases))])
-        # the cut at -pi is the point |phase| = pi on the circle
-        if np.pi - abs(worst) < _BRANCH_TOL:
-            raise BranchAmbiguityError(worst)
     return skew_part((W * (1j * phases)) @ W.conj().T)
 
 

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.optimize import Bounds, minimize
 
 from .linalg import (
-    BranchAmbiguityError,
     _phase_fix,
     along,
     check_count,
@@ -104,8 +103,10 @@ def _check_samples(samples, minimum: int = 1):
 def model_path(model: RegularizedModel, times) -> np.ndarray:
     """Model states e^{Xt} V diag(p + z t) V* e^{-Xt} at the given times."""
     ts = np.atleast_1d(np.asarray(times, dtype=float))
+    # first, so a non-finite time is rejected before inf * 0 warns below
+    props = expm_skew_times(model.X, ts)
     lam = model.p[None, :] + np.outer(ts, model.z)
-    return hermitian_part(_flow(expm_skew_times(model.X, ts), model.V, lam)[1])
+    return hermitian_part(_flow(props, model.V, lam)[1])
 
 
 def _flow(props, V, lam):
@@ -182,7 +183,6 @@ def _strip_trace(X):
 
 def _initial_guess(ts, vals):
     """Eigen-structure of the first/last samples seeds every start."""
-    n = vals.shape[1]
     p0, Vfirst = np.linalg.eigh(vals[0])
     q, Vlast = np.linalg.eigh(vals[-1])
     span = ts[-1] - ts[0]
@@ -190,10 +190,7 @@ def _initial_guess(ts, vals):
     mag = np.abs(d)
     phase = np.where(mag > 1e-12, d / np.maximum(mag, 1e-300), 1.0)
     Q = (Vlast * np.conj(phase)[None, :]) @ Vfirst.conj().T
-    try:
-        X0 = _strip_trace(logm_unitary(Q) / span)
-    except BranchAmbiguityError:
-        X0 = np.zeros((n, n), dtype=complex)
+    X0 = _strip_trace(logm_unitary(Q) / span)
     z0 = (q - p0) / span
     z0 = z0 - z0.mean()
     # back-rotate the first-sample frame to t = 0 so the model matches the

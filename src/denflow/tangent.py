@@ -42,19 +42,6 @@ class TangentSplit:
     trace: float
 
 
-def _checked(rho, T):
-    """rho and T as complex arrays, once both are Hermitian of one shape."""
-    rho = np.asarray(rho, dtype=complex)
-    T = np.asarray(T, dtype=complex)
-    if rho.shape != T.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {T.shape}")
-    if not is_hermitian(rho):
-        raise ValueError("base point must be Hermitian")
-    if not is_hermitian(T):
-        raise ValueError("tangent direction must be Hermitian")
-    return rho, T
-
-
 def split_tangent(rho: np.ndarray, T: np.ndarray) -> TangentSplit:
     """Split a Hermitian direction T at rho into rotation and scaling parts.
 
@@ -64,7 +51,14 @@ def split_tangent(rho: np.ndarray, T: np.ndarray) -> TangentSplit:
     Eigenvalues that ``linalg.degeneracy_groups`` puts in one group are
     treated as degenerate and their entries routed to u, keeping X bounded.
     """
-    rho, T = _checked(rho, T)
+    rho = np.asarray(rho, dtype=complex)
+    T = np.asarray(T, dtype=complex)
+    if rho.shape != T.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {T.shape}")
+    if not is_hermitian(rho):
+        raise ValueError("base point must be Hermitian")
+    if not is_hermitian(T):
+        raise ValueError("tangent direction must be Hermitian")
     lam, V = eig_hermitian(rho)
     Tp = dagger(V) @ T @ V
     labels = degeneracy_groups(lam)
@@ -73,35 +67,24 @@ def split_tangent(rho: np.ndarray, T: np.ndarray) -> TangentSplit:
     np.divide(Tp, gaps, out=Xp, where=labels[:, None] != labels[None, :])
 
     X = skew_part(V @ Xp @ dagger(V))
-    u = project_commutant_eig(lam, V, T)
+    up = np.where(labels[:, None] == labels[None, :], Tp, 0.0)
+    n = len(lam)
+    up[np.arange(n), np.arange(n)] -= np.trace(up).real / n
+    u = hermitian_part(V @ up @ dagger(V))
     rot = hermitian_part(commutator(X, rho))
     return TangentSplit(X=X, rot=rot, u=u, trace=float(np.trace(T).real))
 
 
 def project_commutant(rho: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of T onto traceless directions commuting with rho."""
-    rho, T = _checked(rho, T)
-    return project_commutant_eig(*eig_hermitian(rho), T)
-
-
-def project_commutant_eig(values: np.ndarray, vectors: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Commutant projection at a state given by its eigendecomposition.
-
-    ``values`` (..., n) ascending and ``vectors`` (..., n, n) describe one
-    state or a stack of states; T is one Hermitian direction or a stack,
-    broadcast against them.  In the eigenbasis the projection keeps the
-    entries within each degenerate block, then removes the trace.
-    """
-    Tp = dagger(vectors) @ T @ vectors
-    labels = degeneracy_groups(values)
-    up = np.where(labels[..., :, None] == labels[..., None, :], Tp, 0.0)
-    n = up.shape[-1]
-    diag = np.arange(n)
-    up[..., diag, diag] -= np.trace(up, axis1=-2, axis2=-1)[..., None].real / n
-    return hermitian_part(vectors @ up @ dagger(vectors))
+    """Orthogonal projection of T onto traceless directions commuting with
+    rho: the u of ``split_tangent``, which keeps the entries of T within each
+    degenerate block of rho's eigenbasis and removes the trace."""
+    return split_tangent(rho, T).u
 
 
 def rotation_flow(rho0: np.ndarray, X: np.ndarray, t: float) -> np.ndarray:
     """Isospectral flow e^{Xt} rho0 e^{-Xt}: eigenvectors turn, spectrum fixed."""
+    if not np.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t}")
     U = expm_skew(np.asarray(X, dtype=complex) * t)
     return hermitian_part(U @ np.asarray(rho0, dtype=complex) @ U.conj().T)

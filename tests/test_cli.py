@@ -148,6 +148,12 @@ class TestDocuments:
         assert grid[0] == 0.05 and grid[-1] == 1.0
         assert np.allclose(np.diff(grid), 0.05)
         assert np.allclose(parse_times("0.1,0.4,0.9"), [0.1, 0.4, 0.9])
+        # an inclusive grid never passes stop
+        assert np.array_equal(parse_times("0:0.6:1"), [0.0, 0.6])
+        for text in ("0.01:0.02:1", "0:0.15:1", "0:0.3:1", "0.2:0.7:1", "0:0.1:1",
+                     "0:1:0.9999999999"):
+            assert parse_times(text)[-1] <= float(text.split(":")[2])
+        assert len(parse_times("0:0.1:1")) == 11
         with pytest.raises(ValueError):
             parse_times("1:0:-2")
         for text in ("0:0.1:inf", "nan,0.5", "0,inf"):

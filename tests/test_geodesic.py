@@ -18,7 +18,6 @@ from denflow.geodesic import (
     solve_geodesic,
 )
 from denflow.linalg import (
-    BranchAmbiguityError,
     commutator,
     degeneracy_groups,
     eig_hermitian,
@@ -282,28 +281,6 @@ def test_minimal_rotation_quarter_turn_beats_half_turn():
     assert np.allclose(lam, mu)
     X = minimal_rotation(U0p.astype(complex), U1.astype(complex), lam)
     assert np.isclose(frob_norm(X), np.pi / np.sqrt(2), atol=1e-6)
-
-
-def test_branch_cut_retry_in_solver(monkeypatch):
-    import denflow.geodesic as geo
-
-    real_logm = geo.logm_unitary
-    calls = {"n": 0}
-
-    def flaky(Q):
-        calls["n"] += 1
-        if calls["n"] <= 2:
-            raise BranchAmbiguityError(-np.pi)
-        return real_logm(Q)
-
-    monkeypatch.setattr(geo, "logm_unitary", flaky)
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    rho1 = np.diag([0.0, 1.0]).astype(complex)
-    sol = solve_geodesic(rho0, rho1, 10.0)
-    assert calls["n"] >= 3
-    # the diagonal-phase nudge keeps feasibility exact
-    assert endpoint_residual(sol, rho0, rho1) <= 1e-6
-    assert abs(sol.cost_rotation - np.pi / np.sqrt(2)) <= 1e-2
 
 
 def test_eval_path_endpoints_and_extrapolation():

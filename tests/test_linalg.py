@@ -5,7 +5,6 @@ import scipy.linalg as sla
 from conftest import random_hermitian, random_skew, random_unitary
 from denflow.linalg import (
     along,
-    BranchAmbiguityError,
     commutator,
     eig_hermitian,
     eig_skew,
@@ -177,13 +176,32 @@ def test_logm_paired_phases():
     assert frob_norm(logm_unitary(expm_skew(X)) - X) <= 1e-12
 
 
-def test_logm_branch_cut_raises():
-    with pytest.raises(BranchAmbiguityError) as exc:
-        logm_unitary(np.diag([-1.0 + 0j, 1.0 + 0j]))
-    assert abs(abs(exc.value.phase) - np.pi) < 1e-8
-    # slightly away from the cut is fine
-    Q = np.diag([np.exp(1j * (np.pi - 1e-4)), 1.0 + 0j])
-    assert frob_norm(expm_skew(logm_unitary(Q)) - Q) <= 1e-8
+def _at_the_cut():
+    """(Q, phases) at or near the cut: eigenphase pairs +-(pi - d) meet at -1."""
+    W = random_unitary(np.random.default_rng(31), 3)
+    cases = [
+        (np.diag([-1.0 + 0j, 1.0 + 0j]), [np.pi, 0.0]),
+        (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), [np.pi, 0.0]),
+        (-np.eye(3, dtype=complex), [np.pi] * 3),
+    ]
+    for d in (0.0, 1e-13, 1e-8):
+        phases = [np.pi - d, -(np.pi - d), 0.3]
+        cases.append(((W * np.exp(1j * np.array(phases))) @ W.conj().T, phases))
+    # slightly away from the cut
+    cases.append((np.diag([np.exp(1j * (np.pi - 1e-4)), 1.0 + 0j]), [np.pi - 1e-4, 0.0]))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "Q, phases", _at_the_cut(),
+    ids=["diag(-1,1)", "reflection", "-I3", "pair-at-cut", "pair-1e-13", "pair-1e-8",
+         "off-cut-1e-4"],
+)
+def test_logm_at_the_branch_cut(Q, phases):
+    X = logm_unitary(Q)
+    assert frob_norm(X + X.conj().T) == 0.0
+    assert frob_norm(sla.expm(X) - Q) <= 1e-13
+    assert abs(frob_norm(X) - np.sqrt(np.sum(np.square(phases)))) <= 1e-13
 
 
 def test_commutator_diagonal_pair_is_zero():

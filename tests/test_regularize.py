@@ -12,6 +12,8 @@ from denflow.regularize import (
     residual,
     solve_regularization,
     synth_noisy_path,
+    _check_samples,
+    _initial_guess,
     _objective,
 )
 
@@ -127,6 +129,11 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual(truth_model(RHO0, XTRUE), [])
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_model_times_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            model_path(truth_model(RHO0, XTRUE), [0.5, t])
+
     @pytest.mark.parametrize(
         "times", [[0.1, np.nan, 0.9], [np.nan, 0.5, 0.9], [-0.1, 0.5, 0.9], [0.1, 0.5, 1.5]],
         ids=["nan inside", "nan first", "below 0", "above 1"],
@@ -214,6 +221,24 @@ class TestSolve:
         m = solve_regularization(noisy)
         assert m.objective <= 1.2 * oracle
         assert not m.stalled
+
+    def test_reflection_alignment_starts_from_the_principal_log(self):
+        # real data whose first-to-last frame map is a reflection: it has an
+        # eigenphase of exactly pi, and its principal log seeds the fit
+        rng = np.random.default_rng(23)
+        A = rng.normal(size=(3, 3))
+        B = rng.normal(size=(3, 3))
+        X = ((A - A.T) / 2).astype(complex)
+        rho0 = B @ B.T
+        rho0 = (rho0 / np.trace(rho0)).astype(complex)
+        z = np.sort(rng.dirichlet(np.ones(3))) - np.linalg.eigvalsh(rho0)
+        noisy = synth_noisy_path(rho0, X, z, np.arange(1, 21) / 20, noise_amp=0.03, seed=23)
+        X0 = _initial_guess(*_check_samples(noisy))[3]
+        assert np.all(np.isfinite(X0))
+        assert abs(np.trace(X0)) <= 1e-12
+        assert frob_norm(X0) > 0.0
+        m = solve_regularization(noisy)
+        assert m.objective < residual(truth_model(rho0, X, z), noisy)
 
     def test_model_invariants_and_monotone_history(self):
         noisy = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES, noise_amp=0.05, seed=13)

@@ -131,6 +131,16 @@ def test_rotation_flow_at_zero_time():
     assert np.allclose(rotation_flow(rho, np.zeros((3, 3)), 0.0), rho, atol=1e-14)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [2, 3])
+def test_rotation_flow_rejects_non_finite_time(n, t):
+    rho = np.diag(np.arange(1.0, n + 1)).astype(complex)
+    X = np.zeros((n, n), dtype=complex)
+    X[0, 1], X[1, 0] = -1.0, 1.0
+    with pytest.raises(ValueError, match="finite"):
+        rotation_flow(rho, X, t)
+
+
 def test_rotation_flow_quarter_turn():
     rho = np.diag([1.0, 0.0]).astype(complex)
     X = np.array([[0.0, -np.pi / 2], [np.pi / 2, 0.0]], dtype=complex)
