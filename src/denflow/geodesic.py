@@ -16,14 +16,13 @@ norm of the principal logarithm of U1 Theta U0'*.  When rho0 has repeated
 eigenvalues the eigenframe of Z is pinned to the computed eigenbasis of
 rho0, so minimality is within that family.
 
-Matchings are searched best-first.  Since |theta| >= |e^{i theta} - 1|, the
-gauge cost of a matching is at least the distance from the aligned frame
-to the identity, whose minimum over gauges has a closed form (nuclear
-norms of the diagonal blocks of U1* U0').  Adding epsilon ||z|| gives a
-lower bound on each matching's total cost; all n! bounds are computed at
-once, gauge searches run in ascending-bound order, and the search stops
-at the first matching whose bound exceeds the best cost found.  No
-skipped matching could have won.
+Matchings are searched best-first.  The gauge cost of a matching is
+bounded below in closed form through the distance from the aligned frame
+to the identity, minimized over gauges (nuclear norms of the diagonal
+blocks of U1* U0'); adding epsilon ||z|| bounds its total cost.
+Matchings are drawn lazily in ascending-bound order and gauge-searched in
+turn until a bound exceeds the best cost found, so no skipped matching
+could have won.
 
 The gauge search is coordinate descent over one-parameter subgroups
 e^{aS} of the gauge group (Absil, Mahony & Sepulchre 2008, ch. 4).  Each
@@ -41,6 +40,7 @@ the golden-section refinement stop at an absolute width (see
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -64,9 +64,8 @@ _TIE = 1e-12
 # a matching is searched unless its lower bound exceeds the incumbent cost by
 # more than this; it covers the ~1e-8 arccos noise floor of _log_norm at
 # eigenphases near 0 and near +-pi, which can put a computed gauge cost
-# slightly below the exact chordal bound
+# slightly below the exact Jensen-arcsin bound of _matchings
 _BOUND_SLACK = 1e-7
-_MAX_ENUM = 7  # largest n whose n! matchings are searched exactly
 
 
 class InfeasibleError(ValueError):
@@ -242,43 +241,62 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
     return logm_unitary(U1 @ Theta @ U0p.conj().T)
 
 
-def _matching_bounds(U0, U1, perms, groups):
-    """Chordal lower bound on the gauge-search cost of each matching.
+def _matchings(lam, mu, U0, U1, epsilon):
+    """Every matching pi once, lazily, in ascending order of a lower bound
+    on its total cost; yields (bound, pi).
 
-    |theta| >= |e^{i theta} - 1| gives ||log Q||_F >= ||Q - I||_F, and over
-    block-diagonal gauges Theta, min ||U1 Theta U0p* - I||_F^2 = 2n - 2 S with
-    S the sum of the nuclear norms of the diagonal blocks of G = U1* U0p
-    (|G_ii| on a simple eigenvalue).  Row k of ``perms`` is a matching pi,
-    whose frame U0p has column pi(i) equal to column i of U0, so block g of
-    G is (U1* U0)[g, pi^{-1}(g)].  Returns sqrt(max(2n - 2 S, 0)) per row.
+    The frame U0p of pi has column pi(i) equal to column i of U0, so block
+    g of G = U1* U0p is (U1* U0)[g, pi^{-1}(g)] per degenerate group g of
+    mu.  Over block-diagonal gauges, min ||U1 Theta U0p* - I||_F^2 = D =
+    2n - 2 S with S the sum of the blocks' nuclear norms.  Each eigenphase
+    has theta^2 = g(|e^{i theta} - 1|^2) with g(s) = 4 arcsin^2(sqrt(s)/2)
+    increasing and convex, so by Jensen the gauge cost is at least
+    2 sqrt(n) arcsin(sqrt(D/n) / 2), itself at least the chordal sqrt(D).
+    Adding epsilon ||z|| bounds the total.
+
+    The search is best-first (Hart, Nilsson & Raphael 1968) over a heap of
+    prefixes pi(0..k-1), each keyed at or below every matching extending
+    it.  ||B||_* is at most the sum of B's column norms, so S <= sum_i
+    c[i, pi(i)] with c[i, j] = ||(U1* U0)[g(j), i]||_2, and one
+    ``linear_sum_assignment`` maximizes that over a prefix's completions
+    (as in Murty 1968).  Both spectra ascend, so the sorted-to-sorted
+    completion has the smallest ||z|| (rearrangement inequality).
     """
-    n = U0.shape[0]
+    n = len(lam)
     A = U1.conj().T @ U0
-    inv = np.argsort(perms, axis=1)
-    S = np.zeros(len(perms))
+    groups = _group_slices(degeneracy_groups(mu))
+    c = np.empty((n, n))
     for g in groups:
-        blocks = A[g[None, :, None], inv[:, None, g]]
-        S += np.linalg.svd(blocks, compute_uv=False).sum(axis=-1)
-    return np.sqrt(np.maximum(2 * n - 2 * S, 0.0))
+        c[:, g] = np.linalg.norm(A[g], axis=0)[:, None]
 
+    def bound(prefix):
+        k, p = len(prefix), list(prefix)
+        free = [j for j in range(n) if j not in prefix]
+        z2 = ((mu[p] - lam[:k]) ** 2).sum() + ((mu[free] - lam[k:]) ** 2).sum()
+        if k == n:
+            inv = np.argsort(p)
+            # a 1 x 1 block's nuclear norm is its column norm
+            S = sum(np.linalg.svd(A[np.ix_(g, inv[g])], compute_uv=False).sum()
+                    if len(g) > 1 else c[inv[g[0]], g[0]] for g in groups)
+        else:
+            rest = c[k:][:, free]
+            rows, cols = linear_sum_assignment(rest, maximize=True)
+            S = c[np.arange(k), p].sum() + rest[rows, cols].sum()
+        D = max(2 * n - 2 * S, 0.0)
+        return float(2 * np.sqrt(n) * np.arcsin(np.sqrt(D / n) / 2) + epsilon * np.sqrt(z2))
 
-def _local_matching(lam, mu, n, eval_total):
-    """Assignment seed on |lambda - mu| refined by 2-swap local search."""
-    _, seed = linear_sum_assignment(np.abs(lam[:, None] - mu[None, :]))
-    perm = list(seed)
-    score = eval_total(tuple(perm))
-    for _ in range(50):
-        best_swap, best_score = None, score
-        for i, j in itertools.combinations(range(n), 2):
-            cand = perm.copy()
-            cand[i], cand[j] = cand[j], cand[i]
-            s = eval_total(tuple(cand))
-            if s < best_score - _TIE:
-                best_swap, best_score = cand, s
-        if best_swap is None:
-            break
-        perm, score = best_swap, best_score
-    return tuple(perm)
+    heap = [(bound(()), ())]
+    while heap:
+        key, prefix = heapq.heappop(heap)
+        if len(prefix) == n:
+            yield key, prefix
+            continue
+        free = [j for j in range(n) if j not in prefix]
+        for j in free:
+            child = prefix + (j,)
+            if len(child) == n - 1:  # one completion left
+                child += tuple(i for i in free if i != j)
+            heapq.heappush(heap, (bound(child), child))
 
 
 def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> GeodesicSolution:
@@ -288,12 +306,9 @@ def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> Geodes
     Endpoints must be Hermitian PSD with equal traces (a commuting
     traceless drift cannot change the trace); an endpoint with an
     eigenvalue below -1e-10 max(1, ||rho||_F) raises ValueError, as does a
-    negative or non-finite epsilon.  For n <= ``_MAX_ENUM`` = 7 the
-    eigenvalue matching is exact: every matching gets the chordal lower
-    bound sqrt(max(2n - 2 S, 0)) + epsilon ||z|| (see ``_matching_bounds``),
-    gauge searches run in ascending-bound order, and they stop once a
-    bound exceeds the best cost found.  Larger problems
-    fall back to an assignment seed refined by 2-swap local search.  Ties
+    negative or non-finite epsilon.  The eigenvalue matching is exact at
+    every n: gauge searches run in the ascending lower-bound order of
+    ``_matchings`` and stop once a bound exceeds the best cost found.  Ties
     are broken by matching enumeration order, preferring smaller ||Z|| at
     equal cost.
     """
@@ -320,44 +335,25 @@ def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> Geodes
         if w[0] < -1e-10 * max(1.0, frob_norm(rho)):
             raise ValueError(f"{name} is not PSD: smallest eigenvalue {w[0]:.6g}")
 
-    groups = _group_slices(degeneracy_groups(mu))
-
-    def frame_for(perm):
-        P = np.zeros((n, n))
-        P[np.arange(n), perm] = 1.0
-        return U0 @ P
-
     def search(perm):
         z = mu[list(perm)] - lam
         znorm = float(np.linalg.norm(z))
-        U0p = frame_for(perm)
+        P = np.zeros((n, n))
+        P[np.arange(n), perm] = 1.0
+        U0p = U0 @ P
         gcost, Theta = _gauge_search(U0p, U1, mu)
         return gcost + epsilon * znorm, znorm, perm, z, U0p, Theta
 
-    def eval_total(perm):
-        # quick score for local search: polar-init alignment, no descent
-        z = mu[list(perm)] - lam
-        U0p = frame_for(perm)
-        Theta = _polar_init(U1.conj().T @ U0p, groups)
-        return _log_norm(U1 @ Theta @ U0p.conj().T) + epsilon * float(np.linalg.norm(z))
-
-    if n <= _MAX_ENUM:
-        matchings = list(itertools.permutations(range(n)))
-        perms = np.array(matchings)
-        bounds = _matching_bounds(U0, U1, perms, groups)
-        bounds += epsilon * np.linalg.norm(mu[perms] - lam, axis=1)
-        searched, incumbent = {}, np.inf
-        for k in np.argsort(bounds, kind="stable"):
-            if bounds[k] > incumbent + _BOUND_SLACK:
-                break  # every later matching is bounded above the incumbent
-            searched[k] = search(matchings[k])
-            incumbent = min(incumbent, searched[k][0])
-        candidates = [searched[k] for k in sorted(searched)]
-    else:
-        candidates = [search(_local_matching(lam, mu, n, eval_total))]
+    searched, incumbent = [], np.inf
+    for bound, perm in _matchings(lam, mu, U0, U1, epsilon):
+        if bound > incumbent + _BOUND_SLACK:
+            break  # every later matching is bounded above the incumbent
+        searched.append(search(perm))
+        incumbent = min(incumbent, searched[-1][0])
 
     best = None  # (total, znorm, perm, z, U0p, Theta)
-    for cand in candidates:  # in enumeration order, as the tie rule reads
+    # in enumeration (lexicographic) order, as the tie rule reads
+    for cand in sorted(searched, key=lambda cand: cand[2]):
         total, znorm = cand[:2]
         if best is None or total < best[0] - _TIE or (
             abs(total - best[0]) <= _TIE and znorm < best[1] - _TIE

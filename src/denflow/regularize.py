@@ -40,6 +40,7 @@ from .linalg import (
     expm_skew_times,
     hermitian_part,
     is_hermitian,
+    is_skew_hermitian,
     logm_unitary,
     skew_basis,
 )
@@ -152,6 +153,9 @@ def synth_noisy_path(
         raise ValueError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
     if z.shape != (n,) or not np.all(np.isfinite(z)):
         raise ValueError(f"z must be {n} finite drift rates, got {z.tolist()}")
+    # the tolerance the CLI reads "skew" documents with
+    if not is_skew_hermitian(X, tol=1e-9):
+        raise ValueError("rotation generator X must be skew-Hermitian")
     vals0, V0 = eig_hermitian(rho0)
     Z = (V0 * z[None, :]) @ V0.conj().T
     Z = (Z + Z.conj().T) / 2

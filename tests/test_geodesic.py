@@ -201,23 +201,14 @@ def test_identical_endpoints_zero_cost():
         assert sol.permutation == (0, 1, 2)
 
 
-def test_large_problem_uses_local_search():
+def test_feasibility_isospectral_n8():
     rng = np.random.default_rng(44)
     rho0 = random_psd(rng, 8)
     Q = random_unitary(rng, 8)
     rho1 = Q @ rho0 @ Q.conj().T
     rho1 = (rho1 + rho1.conj().T) / 2
-    sol = solve_geodesic(rho0, rho1, 1.0)  # 8 > default enumeration cap
+    sol = solve_geodesic(rho0, rho1, 1.0)
     assert endpoint_residual(sol, rho0, rho1) <= 1e-6
-
-
-def test_lowered_cap_takes_the_local_search(monkeypatch):
-    monkeypatch.setattr(geo, "_MAX_ENUM", 1)  # forces the assignment seed path
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    rho1 = np.diag([0.0, 1.0]).astype(complex)
-    sol = solve_geodesic(rho0, rho1, 0.1)
-    assert sol.cost_rotation <= 1e-6
-    assert np.allclose(sol.Z, np.diag([-1.0, 1.0]), atol=1e-6)
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.5])
@@ -379,14 +370,67 @@ def test_best_first_matches_exhaustive_enumeration(exhaustive, eps):
 
 
 def test_chordal_bound_never_exceeds_gauge_cost(exhaustive):
+    # the bound searched on is the Jensen-arcsin one, at least the chordal
     rho0, rho1, rows = exhaustive
-    _, U0 = eig_hermitian(rho0)
+    lam, U0 = eig_hermitian(rho0)
     mu, U1 = eig_hermitian(rho1)
-    groups = geo._group_slices(degeneracy_groups(mu))
-    perms = np.array([perm for perm, _, _ in rows])
-    bounds = geo._matching_bounds(U0, U1, perms, groups)
-    gcosts = np.array([gcost for _, gcost, _ in rows])
-    assert np.all(bounds <= gcosts + geo._BOUND_SLACK)
+    bounds = {perm: b for b, perm in geo._matchings(lam, mu, U0, U1, 0.0)}
+    for perm, gcost, _ in rows:
+        assert bounds[perm] <= gcost + geo._BOUND_SLACK, perm
+
+
+def full_array_bounds(lam, mu, U0, U1, eps):
+    """Reference: the bound of every matching at once, over the n! array of
+    matchings in enumeration order."""
+    n = len(lam)
+    perms = np.array(list(itertools.permutations(range(n))))
+    A = U1.conj().T @ U0
+    inv = np.argsort(perms, axis=1)
+    S = np.zeros(len(perms))
+    for g in geo._group_slices(degeneracy_groups(mu)):
+        S += np.linalg.svd(A[g[None, :, None], inv[:, None, g]], compute_uv=False).sum(axis=-1)
+    D = np.maximum(2 * n - 2 * S, 0.0)
+    rot = 2 * np.sqrt(n) * np.arcsin(np.sqrt(D / n) / 2)
+    return rot + eps * np.linalg.norm(mu[perms] - lam, axis=1)
+
+
+DRAIN_CASES = [("complex", n, 110 + n) for n in (2, 3, 4, 5, 6)] + [
+    ("block", 3, 120), ("block", 6, 121), ("triple", 4, 122), ("triple", 6, 123),
+]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("kind, n, seed", DRAIN_CASES)
+def test_matchings_drain_every_permutation_once_in_bound_order(kind, n, seed, eps):
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(seed), n, kind)
+    lam, U0 = eig_hermitian(rho0)
+    mu, U1 = eig_hermitian(rho1)
+    drained = list(geo._matchings(lam, mu, U0, U1, eps))
+    perms = list(itertools.permutations(range(n)))
+    assert sorted(p for _, p in drained) == perms
+    bounds = np.array([b for b, _ in drained])
+    assert np.diff(bounds).min() >= -1e-13  # ascending up to rounding
+    want = dict(zip(perms, full_array_bounds(lam, mu, U0, U1, eps)))
+    assert max(abs(b - want[p]) for b, p in drained) <= 1e-12
+
+
+def test_n8_matching_is_the_full_enumeration_optimum():
+    # a 2-swap local search from an assignment seed stopped at 3.02955 here;
+    # enumerating all 8! matchings finds this permutation and cost
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(1), 8, "complex")
+    sol = solve_geodesic(rho0, rho1, 0.3)
+    assert sol.permutation == (6, 1, 3, 0, 5, 7, 4, 2)
+    assert abs(sol.cost_total - 2.9132259175943074) <= 1e-9
+    assert endpoint_residual(sol, rho0, rho1) <= 1e-6
+
+
+def test_feasibility_n10():
+    # a seed whose frames need few gauge searches (37); others need hundreds
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(5), 10, "complex")
+    sol = solve_geodesic(rho0, rho1, 1.0)
+    assert endpoint_residual(sol, rho0, rho1) <= 1e-6
+    assert frob_norm(commutator(rho0, sol.Z)) <= 1e-8
+    assert abs(np.trace(sol.Z)) <= 1e-8
 
 
 def test_bound_prunes_most_matchings_at_n6(monkeypatch):

@@ -98,6 +98,13 @@ class TestSynth:
         with pytest.raises(ValueError, match="drift rates"):
             synth_noisy_path(RHO0, XTRUE, z, TIMES[:4])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_skew_generator_rejected(self, n):
+        X = np.zeros((n, n), dtype=complex)
+        X[0, 1] = 1.0  # e^X is not even unitary
+        with pytest.raises(ValueError, match="skew-Hermitian"):
+            synth_noisy_path(np.eye(n) / n, X, np.zeros(n), TIMES[:4])
+
 
 class TestResidual:
     def test_exact_samples_zero(self):

@@ -141,6 +141,20 @@ def test_rotation_flow_rejects_non_finite_time(n, t):
         rotation_flow(rho, X, t)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_rotation_flow_rejects_a_non_skew_generator(n):
+    # a single 1 above the diagonal; for n >= 3 eigh reads only the lower
+    # triangle of -iX, so an unchecked flow returned rho unchanged
+    rho = np.diag(np.linspace(0.5, 0.2, n)).astype(complex)
+    X = np.zeros((n, n), dtype=complex)
+    X[0, 1] = 1.0
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        rotation_flow(rho, X, 1.0)
+    # within the 1e-9 that CLI documents are read with, X is accepted
+    X[1, 0] = -1.0 + 5e-10
+    rotation_flow(rho, X, 1.0)
+
+
 def test_rotation_flow_quarter_turn():
     rho = np.diag([1.0, 0.0]).astype(complex)
     X = np.array([[0.0, -np.pi / 2], [np.pi / 2, 0.0]], dtype=complex)
