@@ -24,8 +24,9 @@ Matchings are drawn lazily in ascending-bound order and gauge-searched in
 turn until a bound exceeds the best cost found, so no skipped matching
 could have won.
 
-The gauge search is coordinate descent over one-parameter subgroups
-e^{aS} of the gauge group (Absil, Mahony & Sepulchre 2008, ch. 4).  Each
+The gauge search sweeps once along one-parameter subgroups e^{aS} of the
+gauge group from each of a few starts (Absil, Mahony & Sepulchre 2008,
+ch. 4), then polishes the best swept gauge to a stationary point.  Each
 generator S is a column phase i E_kk or, inside a degenerate group, a
 real rotation E_lk - E_kl or an imaginary one i(E_lk + E_kl).  All of them
 satisfy S^3 = -S, so e^{aS} = I + sin(a) S + (1 - cos a) S^2 (Rodrigues),
@@ -34,7 +35,12 @@ cosines of the rotation's phases, is a pencil H0 + sin(a) H1 +
 (1 - cos a) H2 fixed per coordinate.  Scoring a step then takes two scaled
 adds and one ``eigvalsh``.  The pencil has period 2 pi in a, which lets
 the golden-section refinement stop at an absolute width (see
-``_gauge_search``).
+``_gauge_search``).  The sweep picks the basin; BFGS (Nocedal & Wright
+2006, ch. 6) then minimizes 1/2 ||log Q||_F^2, Q = U1 Theta_s e^{B(b)} U0'*,
+over b with B(b) = sum_i b_i S_i.  Its gradient is exact: for a unitary Q
+with L = log Q, d 1/2 ||L||_F^2 = Re<L, Q* dQ>, carried to b through the
+adjoint of the exponential; at b = 0 it is Re<U0'* L U0', S_i>, the
+Riemannian gradient on the gauge group (Absil et al. 2008, sec. 3.6).
 """
 
 from __future__ import annotations
@@ -47,12 +53,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import golden, linear_sum_assignment
+from scipy.optimize import golden, linear_sum_assignment, minimize
 
 from .linalg import (
+    along,
     dagger,
     degeneracy_groups,
     eig_hermitian,
+    eig_skew,
+    exp_i,
+    expm_skew,
+    expm_skew_adjoint,
     expm_skew_times,
     frob_norm,
     hermitian_part,
@@ -139,7 +150,10 @@ def _polar_init(G: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
 
 
 _GRID = np.linspace(-np.pi, np.pi, 25)
-_GAUGE_ROUNDS = 3  # coordinate sweeps per start of the gauge search
+# BFGS stop on the largest gradient component of 1/2 ||log Q||_F^2 in the
+# gauge coordinates; at 1e-9 and below the line search runs into the
+# rounding floor of the log norm and ends on "precision loss"
+_GAUGE_GTOL = 1e-8
 _SIGN_LIMIT = 12  # largest n whose 2^n real sign patterns are scored for a start
 
 
@@ -169,12 +183,18 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     """Minimize ||log(U1 Theta U0p*)||_F over gauges Theta commuting with
     diag(spectrum).  Returns (cost, Theta).
 
-    Coordinate descent from the blockwise polar factor, the identity and
-    (for real frames) the best real sign pattern along ``_gauge_generators``.
-    Per coordinate S the pencil of Herm(U1 Theta e^{aS} U0p*) is formed once;
-    a grid over [-pi, pi] brackets the best step and ``golden`` refines it one
-    period (2 pi) up, where its relative stop |x3 - x0| <= tol (|x1| + |x2|)
-    closes at ~1e-6 rad instead of chasing rounding and arccos noise.
+    One coordinate sweep along ``_gauge_generators`` from each of the
+    blockwise polar factor, the identity and (for real frames) the best real
+    sign pattern.  Per coordinate S the pencil of Herm(U1 Theta e^{aS} U0p*)
+    is formed once; a grid over [-pi, pi] brackets the best step and
+    ``golden`` refines it one period (2 pi) up, where its relative stop
+    |x3 - x0| <= tol (|x1| + |x2|) closes at ~1e-6 rad instead of chasing
+    rounding and arccos noise.  The first strictly best swept gauge Theta_s
+    is then polished by BFGS over Theta = Theta_s e^{B(b)}, B(b) = sum_i b_i
+    S_i, on f(b) = 1/2 ||L||_F^2 with L = ``logm_unitary``(Q) and Q = U1
+    Theta U0p*.  With Y = (U1 Theta_s)* Q L U0p, df = Re<Y, d e^{B}>, which
+    ``expm_skew_adjoint`` turns into the gradient in B and ``along`` into b.
+    The polished gauge is kept only if its cost is below the swept one.
     """
     n = U0p.shape[0]
     U0pH = U0p.conj().T
@@ -198,30 +218,40 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     best_cost, best_Theta = np.inf, None
     for Theta in starts:
         cur = _log_norm(U1 @ Theta @ U0pH)
-        for _ in range(_GAUGE_ROUNDS):
-            improved = False
-            for S in gens:
-                steps = np.stack([Theta, Theta @ S, Theta @ S @ S])
-                P = hermitian_part(U1 @ steps @ U0pH)
-                vals = _phase_norm(_pencil(P, _GRID))
-                j = int(np.argmin(vals))
-                b = _GRID[j] + 2 * np.pi
-                xmin, fmin, _ = golden(
-                    lambda a: _phase_norm(_pencil(P, a)), brack=(b - h, b, b + h),
-                    tol=1e-7, full_output=True,
-                )
-                if vals[j] < fmin:
-                    xmin, fmin = _GRID[j], vals[j]
-                # acceptance threshold sits above the ~sqrt(eps) noise floor
-                # of the arccos-based score at phases near 0 and near +-pi
-                if fmin < cur - 1e-9:
-                    Theta = _pencil(steps, xmin)
-                    cur = float(fmin)
-                    improved = True
-            if not improved:
-                break
+        for S in gens:
+            steps = np.stack([Theta, Theta @ S, Theta @ S @ S])
+            P = hermitian_part(U1 @ steps @ U0pH)
+            vals = _phase_norm(_pencil(P, _GRID))
+            j = int(np.argmin(vals))
+            b = _GRID[j] + 2 * np.pi
+            xmin, fmin, _ = golden(
+                lambda a: _phase_norm(_pencil(P, a)), brack=(b - h, b, b + h),
+                tol=1e-7, full_output=True,
+            )
+            if vals[j] < fmin:
+                xmin, fmin = _GRID[j], vals[j]
+            # acceptance threshold sits above the ~sqrt(eps) noise floor
+            # of the arccos-based score at phases near 0 and near +-pi
+            if fmin < cur - 1e-9:
+                Theta = _pencil(steps, xmin)
+                cur = float(fmin)
         if cur < best_cost - _TIE:
             best_cost, best_Theta = cur, Theta
+
+    A = U1 @ best_Theta
+
+    def half_sq_log_norm(b):
+        theta, W = eig_skew(np.tensordot(b, gens, 1))
+        Q = A @ exp_i(theta, W) @ U0pH
+        L = logm_unitary(Q)
+        Y = dagger(A) @ Q @ L @ U0p
+        return 0.5 * frob_norm(L) ** 2, along(expm_skew_adjoint(theta, W, [1.0], Y[None]), gens)
+
+    res = minimize(half_sq_log_norm, np.zeros(len(gens)), jac=True, method="BFGS",
+                   options={"gtol": _GAUGE_GTOL})
+    cost = float(np.sqrt(2.0 * res.fun))
+    if cost < best_cost:
+        return cost, best_Theta @ expm_skew(np.tensordot(res.x, gens, 1))
     return best_cost, best_Theta
 
 
@@ -231,9 +261,10 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
     Columns of U0p and U1 must pair identical ``spectrum`` entries.  The
     residual freedom — unitaries commuting with diag(spectrum): per-column
     phases, full blocks on repeated entries, and diagonal sign patterns for
-    real frames — is searched to minimize the log norm, one coordinate at
-    a time along the one-parameter subgroups e^{aS} of a column phase or
-    of a real or imaginary rotation inside a block (see ``_gauge_search``).
+    real frames — is searched to minimize the log norm: one sweep along the
+    one-parameter subgroups e^{aS} of a column phase or of a real or
+    imaginary rotation inside a block, then a BFGS polish on the exact
+    gradient of the squared log norm (see ``_gauge_search``).
     Repeated entries are grouped by ``linalg.degeneracy_groups``.  X is the
     principal logarithm of the aligned frame map, which every unitary has.
     """

@@ -45,6 +45,7 @@ from .linalg import (
     expm_skew,
     expm_skew_adjoint,
     hermitian_part,
+    is_skew_hermitian,
     skew_basis,
 )
 from .tangent import project_commutant
@@ -73,10 +74,15 @@ def step(
 
     The raw scaling control is projected onto the commutant of the current
     state first, so the scaling part never rotates eigenvectors; negativity
-    of the result is not rejected here (the solver penalizes it).
+    of the result is not rejected here (the solver penalizes it).  Raises
+    ValueError unless X is skew-Hermitian.
     """
+    X = np.asarray(X, dtype=complex)
+    # the tolerance the CLI reads "skew" documents with
+    if not is_skew_hermitian(X, tol=1e-9):
+        raise ValueError("rotation generator X must be skew-Hermitian")
     u_used = project_commutant(rho, u_raw)
-    E = expm_skew(np.asarray(X, dtype=complex) * dt)
+    E = expm_skew(X * dt)
     rho_next = E @ (np.asarray(rho, dtype=complex) + u_used * dt) @ E.conj().T
     return hermitian_part(rho_next), u_used
 

@@ -76,6 +76,19 @@ class TestStep:
         after = np.sort(np.linalg.eigvalsh(rho_next))
         assert np.max(np.abs(before - after)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_skew_generator_rejected(self, n):
+        # a single 1 above the diagonal; for n >= 3 eigh reads only the lower
+        # triangle of -iX, so an unchecked step returned rho unchanged
+        rho = np.diag(np.linspace(0.5, 0.2, n)).astype(complex)
+        X = np.zeros((n, n), dtype=complex)
+        X[0, 1] = 1.0
+        with pytest.raises(ValueError, match="skew-Hermitian"):
+            step(rho, X, np.zeros((n, n)), 1.0)
+        # within the 1e-9 that CLI documents are read with, X is accepted
+        X[1, 0] = -1.0 + 5e-10
+        step(rho, X, np.zeros((n, n)), 1.0)
+
     def test_pure_drift_moves_eigenvalues_linearly(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         u_raw = np.diag([-1.0, 1.0]).astype(complex)
