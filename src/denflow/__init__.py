@@ -3,80 +3,62 @@
 Interpolation between density-like matrices by factoring the motion into a
 unitary rotation of the eigenvectors and a commuting scaling of the
 eigenvalues, plus a regularizer that fits such a flow to noisy samples.
+
+``import denflow`` is lazy: each name below loads its home module on first
+use (PEP 562).  scipy loads with the solvers (``solve_geodesic``,
+``solve_discrete_path``, ``solve_regularization``) and on the first call of
+``eig_unitary`` or ``logm_unitary``; the ``decompose`` and ``synth``
+commands never load it.
 """
 
-from .geodesic import (
-    CostBreakdown,
-    GeodesicSolution,
-    InfeasibleError,
-    eval_path,
-    minimal_rotation,
-    path_cost,
-    sample_path,
-    solve_geodesic,
-)
-from .linalg import (
-    EigenDecomposition,
-    commutator,
-    eig_hermitian,
-    eig_unitary,
-    expm_skew,
-    frob_inner,
-    frob_norm,
-    logm_unitary,
-)
-from .regularize import (
-    MatrixSample,
-    RegularizedModel,
-    model_path,
-    residual,
-    solve_regularization,
-    synth_noisy_path,
-)
-from .tangent import (
-    TangentSplit,
-    project_commutant,
-    rotation_flow,
-    split_tangent,
-)
-from .transcription import (
-    DiscretePath,
-    discrete_cost,
-    solve_discrete_path,
-    step,
-)
+from importlib import import_module
 
-__all__ = [
-    "CostBreakdown",
-    "DiscretePath",
-    "EigenDecomposition",
-    "GeodesicSolution",
-    "InfeasibleError",
-    "MatrixSample",
-    "RegularizedModel",
-    "TangentSplit",
-    "commutator",
-    "discrete_cost",
-    "eig_hermitian",
-    "eig_unitary",
-    "eval_path",
-    "expm_skew",
-    "frob_inner",
-    "frob_norm",
-    "logm_unitary",
-    "minimal_rotation",
-    "model_path",
-    "path_cost",
-    "project_commutant",
-    "residual",
-    "rotation_flow",
-    "sample_path",
-    "solve_discrete_path",
-    "solve_geodesic",
-    "solve_regularization",
-    "split_tangent",
-    "step",
-    "synth_noisy_path",
-]
+_EXPORTS = {
+    "CostBreakdown": "geodesic",
+    "GeodesicSolution": "geodesic",
+    "eval_path": "geodesic",
+    "minimal_rotation": "geodesic",
+    "path_cost": "geodesic",
+    "sample_path": "geodesic",
+    "solve_geodesic": "geodesic",
+    "EigenDecomposition": "linalg",
+    "InfeasibleError": "linalg",
+    "commutator": "linalg",
+    "eig_hermitian": "linalg",
+    "eig_unitary": "linalg",
+    "expm_skew": "linalg",
+    "frob_inner": "linalg",
+    "frob_norm": "linalg",
+    "logm_unitary": "linalg",
+    "MatrixSample": "regularize",
+    "RegularizedModel": "regularize",
+    "model_path": "regularize",
+    "residual": "regularize",
+    "solve_regularization": "regularize",
+    "synth_noisy_path": "regularize",
+    "TangentSplit": "tangent",
+    "project_commutant": "tangent",
+    "rotation_flow": "tangent",
+    "split_tangent": "tangent",
+    "DiscretePath": "transcription",
+    "discrete_cost": "transcription",
+    "solve_discrete_path": "transcription",
+    "step": "transcription",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # not cached here, so a rebinding in the home module shows through
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _EXPORTS.values():
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -26,8 +26,8 @@ import sys
 
 import numpy as np
 
-from .geodesic import InfeasibleError, sample_path, solve_geodesic
 from .linalg import (
+    InfeasibleError,
     check_count,
     commutator,
     eig_hermitian,
@@ -45,7 +45,9 @@ from .regularize import (
     synth_noisy_path,
 )
 from .tangent import split_tangent
-from .transcription import solve_discrete_path
+
+# geodesic and transcription import scipy, so only the commands that solve
+# import them: decompose and synth run on numpy alone
 
 log = logging.getLogger("denflow")
 
@@ -260,6 +262,8 @@ def _ensure_out(ns) -> str:
 
 
 def cmd_interpolate(ns) -> int:
+    from .geodesic import sample_path, solve_geodesic
+
     if ns.samples < 2:
         raise DocumentError(f"--samples must be at least 2, got {ns.samples}")
     rho0 = load_matrix(ns.rho0)
@@ -291,6 +295,8 @@ def cmd_interpolate(ns) -> int:
 
 
 def cmd_path(ns) -> int:
+    from .transcription import solve_discrete_path
+
     rho0 = load_matrix(ns.rho0)
     rho1 = load_matrix(ns.rho1)
     dp = solve_discrete_path(

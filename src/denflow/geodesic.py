@@ -56,6 +56,7 @@ import numpy as np
 from scipy.optimize import golden, linear_sum_assignment, minimize
 
 from .linalg import (
+    InfeasibleError,
     along,
     dagger,
     degeneracy_groups,
@@ -77,10 +78,6 @@ _TIE = 1e-12
 # eigenphases near 0 and near +-pi, which can put a computed gauge cost
 # slightly below the exact Jensen-arcsin bound of _matchings
 _BOUND_SLACK = 1e-7
-
-
-class InfeasibleError(ValueError):
-    """No commuting-drift path joins the endpoints (trace mismatch)."""
 
 
 class CostBreakdown(NamedTuple):

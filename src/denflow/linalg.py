@@ -16,8 +16,11 @@ a complex Schur form.  Every unitary has a principal logarithm, its
 eigenphases taken in (-pi, pi], so the logarithm refuses no input.
 ``degeneracy_groups`` holds the one rule for which eigenvalues count as
 degenerate.  ``check_count`` is the one check that a solver budget (steps,
-rounds, iterations, starts) is a whole number in range.  Matrices are
-plain ``numpy`` arrays of ``complex`` dtype; targeted sizes are n ~ 2..10.
+rounds, iterations, starts) is a whole number in range.
+``InfeasibleError``, which the solvers raise on endpoints of unequal trace,
+lives here so that the CLI can catch it without loading them.  scipy loads
+on the first ``eig_unitary`` call only.  Matrices are plain ``numpy``
+arrays of ``complex`` dtype; targeted sizes are n ~ 2..10.
 """
 
 from __future__ import annotations
@@ -25,9 +28,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import schur
 
 _DEGENERACY_TOL = 1e-8  # relative eigenvalue gap below which values are one group
+
+
+class InfeasibleError(ValueError):
+    """No commuting-drift path joins the endpoints (trace mismatch)."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -239,6 +245,8 @@ def eig_unitary(Q: np.ndarray) -> EigenDecomposition:
     (Higham 2008, Functions of Matrices, sec. 11), and the phases are the
     angles of its diagonal.
     """
+    from scipy.linalg import schur
+
     T, W = schur(np.asarray(Q, dtype=complex), output="complex")
     phases = np.angle(np.diagonal(T))
     order = np.argsort(phases, kind="stable")

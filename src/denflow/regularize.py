@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .linalg import (
     _phase_fix,
@@ -89,16 +88,15 @@ def _check_samples(samples, minimum: int = 1):
         raise ValueError("sample times must lie in [0, 1]")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
-    n = np.asarray(samples[0].value).shape[0]
-    vals = np.empty((len(samples), n, n), dtype=complex)
-    for i, s in enumerate(samples):
-        v = np.asarray(s.value, dtype=complex)
-        if v.shape != (n, n):
+    vals = [np.asarray(s.value, dtype=complex) for s in samples]
+    for s, v in zip(samples, vals):
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError(f"sample at t={s.t} is not a square matrix (shape {v.shape})")
+        if v.shape != vals[0].shape:
             raise ValueError("samples must share one matrix dimension")
         if not is_hermitian(v, tol=1e-9):
             raise ValueError(f"sample at t={s.t} is not Hermitian")
-        vals[i] = v
-    return ts, vals
+    return ts, np.array(vals)
 
 
 def model_path(model: RegularizedModel, times) -> np.ndarray:
@@ -261,6 +259,8 @@ def solve_regularization(
     objective wins; the returned model's ``stalled`` and ``history`` are
     those of the winning start.
     """
+    from scipy.optimize import Bounds, minimize  # here, so synthesis needs no scipy
+
     ts, vals = _check_samples(samples, minimum=3)
     seeds = check_count("seeds", seeds, 1)
     max_iters = check_count("max_iters", max_iters, 1)

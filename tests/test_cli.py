@@ -4,12 +4,15 @@ import csv
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_skew, random_unitary
 
+import denflow
 from denflow.cli import (
     DocumentError,
     doc_to_matrix,
@@ -382,6 +385,17 @@ class TestPath:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
 
+    def test_trace_mismatch_exits_2(self, docs, tmp_path):
+        save_matrix(tmp_path / "bad.json", np.diag([1.0, 0.5]).astype(complex))
+        out = tmp_path / "o"
+        code = main([
+            "path", "--rho0", str(docs / "rho0.json"),
+            "--rho1", str(tmp_path / "bad.json"), "--epsilon", "1",
+            "--steps", "4", "--out", str(out), "--quiet",
+        ])
+        assert code == 2
+        assert not (out / "report.json").exists()
+
     def test_samples_flag_rejected(self, docs):
         # a path has N + 1 states; --samples belongs to interpolate only
         with pytest.raises(SystemExit) as exc:
@@ -701,3 +715,93 @@ class TestGolden:
         got = json.loads((out / "decomposition.json").read_text())
         want = json.loads((GOLDEN / "decompose" / "decomposition.json").read_text())
         assert_json_close(got, want)
+
+
+# the names the package exported when it still imported every module eagerly
+EXPORTS = [
+    "CostBreakdown", "DiscretePath", "EigenDecomposition", "GeodesicSolution",
+    "InfeasibleError", "MatrixSample", "RegularizedModel", "TangentSplit",
+    "commutator", "discrete_cost", "eig_hermitian", "eig_unitary", "eval_path",
+    "expm_skew", "frob_inner", "frob_norm", "logm_unitary", "minimal_rotation",
+    "model_path", "path_cost", "project_commutant", "residual", "rotation_flow",
+    "sample_path", "solve_discrete_path", "solve_geodesic", "solve_regularization",
+    "split_tangent", "step", "synth_noisy_path",
+]
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter that imports denflow from the
+    same sources as this one; return the JSON of its last stdout line."""
+    src = pathlib.Path(denflow.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+class TestImports:
+    # imports denflow and the CLI, runs each argv of argv[1] through main,
+    # then reports the exit codes and every scipy module loaded
+    RUN = (
+        "import json, sys\n"
+        "import denflow, denflow.cli\n"
+        "codes = [denflow.cli.main(a) for a in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'scipy': sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
+    )
+
+    @pytest.mark.parametrize("case", ["import", "decompose and synth", "interpolate"])
+    def test_scipy_loads_only_for_solvers(self, docs, case):
+        save_matrix(docs / "t.json", np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        commands = {
+            "import": [],
+            "decompose and synth": [
+                ["decompose", "--rho", str(docs / "rho0.json"),
+                 "--direction", str(docs / "t.json"), "--out", str(docs / "d"), "--quiet"],
+                ["synth", "--rho0", str(docs / "rho0.json"), "--x", str(docs / "x.json"),
+                 "--z", "0.5,-0.5", "--times", "0:0.25:1", "--noise", "0.01",
+                 "--seed", "1", "--out", str(docs / "s"), "--quiet"],
+            ],
+            "interpolate": [
+                ["interpolate", "--rho0", str(docs / "rho0.json"),
+                 "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
+                 "--samples", "3", "--out", str(docs / "i"), "--quiet"],
+            ],
+        }[case]
+        got = run_fresh(self.RUN, json.dumps(commands))
+        assert got["codes"] == [0] * len(commands)
+        if case == "interpolate":
+            # the probe sees scipy once a solver has run
+            assert "scipy.optimize" in got["scipy"]
+        else:
+            assert got["scipy"] == []
+
+    @pytest.mark.parametrize("case", ["names", "homes", "star", "submodule", "missing"])
+    def test_lazy_exports(self, case):
+        if case == "names":
+            assert denflow.__all__ == EXPORTS
+            assert set(EXPORTS) <= set(dir(denflow))
+        elif case == "homes":
+            for name in EXPORTS:
+                obj = getattr(denflow, name)
+                assert obj.__module__.startswith("denflow."), name
+                assert vars(sys.modules[obj.__module__])[name] is obj, name
+        elif case == "star":
+            ns = {}
+            exec("from denflow import *", ns)
+            assert all(ns[name] is getattr(denflow, name) for name in EXPORTS)
+        elif case == "submodule":
+            got = run_fresh(
+                "import json, sys, denflow\n"
+                "before = 'denflow.linalg' in sys.modules\n"
+                "same = denflow.linalg is sys.modules['denflow.linalg']\n"
+                "print(json.dumps([before, same]))\n"
+            )
+            assert got == [False, True]
+        else:
+            with pytest.raises(AttributeError, match="no_such_name"):
+                denflow.no_such_name  # noqa: B018
+
+    def test_one_infeasible_error(self):
+        assert denflow.InfeasibleError is denflow.geodesic.InfeasibleError
+        assert denflow.InfeasibleError is denflow.linalg.InfeasibleError

@@ -287,6 +287,17 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_regularization(data)
 
+    @pytest.mark.parametrize("value", [1.0, np.ones(2), np.ones((2, 3))],
+                             ids=["0-d", "1-d", "2x3"])
+    def test_non_square_sample_rejected(self, value):
+        # the bad value comes first, where the shared dimension used to be read
+        data = [MatrixSample(t, np.eye(2, dtype=complex) / 2) for t in (0.1, 0.5, 0.9)]
+        data[0] = MatrixSample(0.1, value)
+        with pytest.raises(ValueError, match=r"t=0\.1 is not a square matrix"):
+            solve_regularization(data, seeds=1, max_iters=2)
+        with pytest.raises(ValueError, match=r"t=0\.1 is not a square matrix"):
+            residual(truth_model(RHO0, XTRUE), data)
+
     def test_non_hermitian_sample_rejected(self):
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         data = [
