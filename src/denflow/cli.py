@@ -37,6 +37,7 @@ from .linalg import (
     is_hermitian,
     is_skew_hermitian,
     is_unitary,
+    skew_part,
 )
 from .regularize import (
     MatrixSample,
@@ -58,10 +59,11 @@ class DocumentError(ValueError):
 
 # --- matrix documents ---
 
+# per kind: the load check, its name and the exact part the solvers (at 1e-12) get
 _KIND_CHECKS = {
-    "hermitian": (is_hermitian, "Hermitian"),
-    "skew": (is_skew_hermitian, "skew-Hermitian"),
-    "unitary": (is_unitary, "unitary"),
+    "hermitian": (is_hermitian, "Hermitian", hermitian_part),
+    "skew": (is_skew_hermitian, "skew-Hermitian", skew_part),
+    "unitary": (is_unitary, "unitary", np.asarray),
 }
 
 
@@ -98,10 +100,10 @@ def doc_to_matrix(doc, kind: str = "hermitian") -> np.ndarray:
         M = grid("re") + 1j * grid("im")
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"matrix entries must be real numbers: {exc}") from None
-    check, label = _KIND_CHECKS[kind]
+    check, label, part = _KIND_CHECKS[kind]
     if not check(M, tol=1e-9):
         raise DocumentError(f"matrix is not {label} within 1e-9")
-    return M
+    return part(M)
 
 
 def load_matrix(path: str, kind: str = "hermitian") -> np.ndarray:

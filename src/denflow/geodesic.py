@@ -12,9 +12,9 @@ to be a permutation pi of the spectrum of rho1.  The search therefore
 splits into a finite matching problem (which eigenvalue goes where, fixing
 z_i = mu_{pi(i)} - lambda_i) and, per matching, a smooth gauge problem:
 among all unitaries Theta commuting with the matched spectrum, minimize the
-norm of the principal logarithm of U1 Theta U0'*.  When rho0 has repeated
-eigenvalues the eigenframe of Z is pinned to the computed eigenbasis of
-rho0, so minimality is within that family.
+norm of the principal logarithm of U1 Theta U0'*.  Z is diagonal in the
+computed eigenbasis U0 of rho0, which the solution carries for the path
+solver; at a repeated eigenvalue of rho0, minimality is within that frame.
 
 Matchings are searched best-first.  The gauge cost of a matching is
 bounded below in closed form through the distance from the aligned frame
@@ -95,7 +95,10 @@ def path_cost(X: np.ndarray, Z: np.ndarray, epsilon: float) -> CostBreakdown:
 
 @dataclass(frozen=True)
 class GeodesicSolution:
-    """Constant controls joining two endpoints, with the matching used."""
+    """Constant controls joining two endpoints, with the matching used and
+    the eigen-coordinates of rho0 they were solved in: ``frame`` U0 (columns
+    the eigenvectors of rho0), ``spectrum`` lambda (ascending) and ``rates``
+    z = mu[permutation] - lambda, so that Z = U0 diag(z) U0*."""
 
     X: np.ndarray
     Z: np.ndarray
@@ -104,6 +107,9 @@ class GeodesicSolution:
     cost_rotation: float
     cost_scaling: float
     cost_total: float
+    frame: np.ndarray
+    spectrum: np.ndarray
+    rates: np.ndarray
 
 
 def _phase_norm(H: np.ndarray):
@@ -180,13 +186,13 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     """Minimize ||log(U1 Theta U0p*)||_F over gauges Theta commuting with
     diag(spectrum).  Returns (cost, Theta).
 
-    One coordinate sweep along ``_gauge_generators`` from each of the
-    blockwise polar factor, the identity and (for real frames) the best real
-    sign pattern.  Per coordinate S the pencil of Herm(U1 Theta e^{aS} U0p*)
-    is formed once; a grid over [-pi, pi] brackets the best step and
-    ``golden`` refines it one period (2 pi) up, where its relative stop
-    |x3 - x0| <= tol (|x1| + |x2|) closes at ~1e-6 rad instead of chasing
-    rounding and arccos noise.  The first strictly best swept gauge Theta_s
+    One coordinate sweep along ``_gauge_generators`` from each
+    frame-covariant start: the blockwise polar factor and, for real frames,
+    the best real sign pattern.  Per coordinate S the pencil of Herm(U1
+    Theta e^{aS} U0p*) is formed once; a grid over [-pi, pi] brackets the
+    best step and ``golden`` refines it one period (2 pi) up, where its
+    relative stop |x3 - x0| <= tol (|x1| + |x2|) closes at ~1e-6 rad instead
+    of chasing rounding and arccos noise.  The first strictly best swept gauge Theta_s
     is then polished by BFGS over Theta = Theta_s e^{B(b)}, B(b) = sum_i b_i
     S_i, on f(b) = 1/2 ||L||_F^2 with L = ``logm_unitary``(Q) and Q = U1
     Theta U0p*.  With Y = (U1 Theta_s)* Q L U0p, df = Re<Y, d e^{B}>, which
@@ -198,8 +204,7 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     labels = degeneracy_groups(spectrum)
     gens = _gauge_generators(tuple(labels.tolist()))
 
-    G = U1.conj().T @ U0p
-    starts = [_polar_init(G, _group_slices(labels)), np.eye(n, dtype=complex)]
+    starts = [_polar_init(U1.conj().T @ U0p, _group_slices(labels))]
 
     real_inputs = np.abs(U0p.imag).max() <= 1e-12 and np.abs(U1.imag).max() <= 1e-12
     if real_inputs and n <= _SIGN_LIMIT:
@@ -258,10 +263,10 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
     Columns of U0p and U1 must pair identical ``spectrum`` entries.  The
     residual freedom — unitaries commuting with diag(spectrum): per-column
     phases, full blocks on repeated entries, and diagonal sign patterns for
-    real frames — is searched to minimize the log norm: one sweep along the
-    one-parameter subgroups e^{aS} of a column phase or of a real or
-    imaginary rotation inside a block, then a BFGS polish on the exact
-    gradient of the squared log norm (see ``_gauge_search``).
+    real frames — is searched to minimize the log norm: from each
+    frame-covariant start, one sweep along the one-parameter subgroups
+    e^{aS} of a column phase or of a real or imaginary rotation inside a
+    block, then a BFGS polish on the exact gradient (see ``_gauge_search``).
     Repeated entries are grouped by ``linalg.degeneracy_groups``.  X is the
     principal logarithm of the aligned frame map, which every unitary has.
     """
@@ -400,6 +405,9 @@ def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> Geodes
         cost_rotation=costs.rotation,
         cost_scaling=costs.scaling,
         cost_total=costs.total,
+        frame=U0,
+        spectrum=lam,
+        rates=z,
     )
 
 

@@ -15,8 +15,8 @@ the set.  The unitary eigendecomposition behind the logarithm is read off
 a complex Schur form.  Every unitary has a principal logarithm, its
 eigenphases taken in (-pi, pi], so the logarithm refuses no input.
 ``degeneracy_groups`` holds the one rule for which eigenvalues count as
-degenerate.  ``check_count`` is the one check that a solver budget (steps,
-rounds, iterations, starts) is a whole number in range.
+degenerate.  ``check_count`` checks that a solver budget is a whole number
+in range, and ``check_skew`` that a rotation generator is skew-Hermitian.
 ``InfeasibleError``, which the solvers raise on endpoints of unequal trace,
 lives here so that the CLI can catch it without loading them.  scipy loads
 on the first ``eig_unitary`` call only.  Matrices are plain ``numpy``
@@ -88,6 +88,15 @@ def check_count(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def check_skew(X) -> np.ndarray:
+    """X as a complex array; a ValueError unless it is skew-Hermitian within
+    1e-9, the tolerance the CLI reads "skew" documents with."""
+    X = np.asarray(X, dtype=complex)
+    if not is_skew_hermitian(X, tol=1e-9):
+        raise ValueError("rotation generator X must be skew-Hermitian")
+    return X
 
 
 def frob_inner(A: np.ndarray, B: np.ndarray) -> float:
@@ -173,21 +182,17 @@ def eig_hermitian(A: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, _phase_fix(vectors))
 
 
-def _eig_for_exp(H: np.ndarray):
-    """Eigenpairs of a Hermitian matrix or stack, for basis-free results.
+def eig_skew(X: np.ndarray):
+    """Eigenpairs (theta, W) of -iX for a skew-Hermitian X or a (..., n, n)
+    stack of them, so X = W diag(i theta) W*: what the exponential and its
+    adjoint share.
 
     A single 2x2 takes the closed form, which keeps ``synth`` output and
     2x2 sampled paths bit-stable; everything else goes to LAPACK.  No
     phase fix: an exponential does not depend on the eigenbasis.
     """
+    H = -1j * np.asarray(X, dtype=complex)
     return _eig2(hermitian_part(H)) if H.shape == (2, 2) else np.linalg.eigh(H)
-
-
-def eig_skew(X: np.ndarray):
-    """Eigenpairs (theta, W) of -iX for a skew-Hermitian X or a (..., n, n)
-    stack of them, so X = W diag(i theta) W*: what the exponential and its
-    adjoint share."""
-    return _eig_for_exp(-1j * np.asarray(X, dtype=complex))
 
 
 def exp_i(theta: np.ndarray, W: np.ndarray) -> np.ndarray:

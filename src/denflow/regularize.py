@@ -29,6 +29,7 @@ from .linalg import (
     _phase_fix,
     along,
     check_count,
+    check_skew,
     coords,
     dagger,
     eig_hermitian,
@@ -39,7 +40,6 @@ from .linalg import (
     expm_skew_times,
     hermitian_part,
     is_hermitian,
-    is_skew_hermitian,
     logm_unitary,
     skew_basis,
 )
@@ -74,8 +74,7 @@ class RegularizedModel:
     history: tuple[float, ...] = ()
 
     def rho0(self) -> np.ndarray:
-        core = (self.V * self.p[None, :]) @ self.V.conj().T
-        return (core + core.conj().T) / 2
+        return hermitian_part((self.V * self.p[None, :]) @ self.V.conj().T)
 
 
 def _check_samples(samples, minimum: int = 1):
@@ -141,7 +140,6 @@ def synth_noisy_path(
     dataset exactly.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    X = np.asarray(X, dtype=complex)
     z = np.asarray(z, dtype=float)
     n = rho0.shape[0]
     ts = np.asarray(times, dtype=float)
@@ -151,19 +149,15 @@ def synth_noisy_path(
         raise ValueError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
     if z.shape != (n,) or not np.all(np.isfinite(z)):
         raise ValueError(f"z must be {n} finite drift rates, got {z.tolist()}")
-    # the tolerance the CLI reads "skew" documents with
-    if not is_skew_hermitian(X, tol=1e-9):
-        raise ValueError("rotation generator X must be skew-Hermitian")
+    X = check_skew(X)
     vals0, V0 = eig_hermitian(rho0)
-    Z = (V0 * z[None, :]) @ V0.conj().T
-    Z = (Z + Z.conj().T) / 2
+    Z = hermitian_part((V0 * z[None, :]) @ V0.conj().T)
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     out = []
     for t in ts:
         U = expm_skew(X * t)
-        base = U @ (rho0 + Z * t) @ U.conj().T
-        base = (base + base.conj().T) / 2
+        base = hermitian_part(U @ (rho0 + Z * t) @ U.conj().T)
         w = np.zeros((n, n), dtype=complex)
         w[np.arange(n), np.arange(n)] = rng.uniform(-noise_amp, noise_amp, n)
         upper = rng.uniform(-noise_amp, noise_amp, iu.size).astype(complex)

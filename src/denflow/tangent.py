@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    check_skew,
     commutator,
     dagger,
     degeneracy_groups,
@@ -22,7 +23,6 @@ from .linalg import (
     expm_skew,
     hermitian_part,
     is_hermitian,
-    is_skew_hermitian,
     skew_part,
 )
 
@@ -87,9 +87,5 @@ def rotation_flow(rho0: np.ndarray, X: np.ndarray, t: float) -> np.ndarray:
     """Isospectral flow e^{Xt} rho0 e^{-Xt}: eigenvectors turn, spectrum fixed."""
     if not np.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t}")
-    X = np.asarray(X, dtype=complex)
-    # the tolerance the CLI reads "skew" documents with
-    if not is_skew_hermitian(X, tol=1e-9):
-        raise ValueError("rotation generator X must be skew-Hermitian")
-    U = expm_skew(X * t)
+    U = expm_skew(check_skew(X) * t)
     return hermitian_part(U @ np.asarray(rho0, dtype=complex) @ U.conj().T)

@@ -36,16 +36,15 @@ from .geodesic import _gauge_generators, solve_geodesic
 from .linalg import (
     along,
     check_count,
+    check_skew,
     coords,
     dagger,
     degeneracy_groups,
-    eig_hermitian,
     eig_skew,
     exp_i,
     expm_skew,
     expm_skew_adjoint,
     hermitian_part,
-    is_skew_hermitian,
     skew_basis,
 )
 from .tangent import project_commutant
@@ -77,10 +76,7 @@ def step(
     of the result is not rejected here (the solver penalizes it).  Raises
     ValueError unless X is skew-Hermitian.
     """
-    X = np.asarray(X, dtype=complex)
-    # the tolerance the CLI reads "skew" documents with
-    if not is_skew_hermitian(X, tol=1e-9):
-        raise ValueError("rotation generator X must be skew-Hermitian")
+    X = check_skew(X)
     u_used = project_commutant(rho, u_raw)
     E = expm_skew(X * dt)
     rho_next = E @ (np.asarray(rho, dtype=complex) + u_used * dt) @ E.conj().T
@@ -129,26 +125,26 @@ class _Path(NamedTuple):
 
 class _Engine:
     """Rollout and gradient over the flat control vector x = (X_k coordinates,
-    d_k, b) of the solver."""
+    d_k, b) of the solver, at the epsilon and in the rho0 frame of ``base``."""
 
-    def __init__(self, rho0, rho1, epsilon, N):
+    def __init__(self, base, rho1, N):
+        self.base = base
         self.rho1 = rho1
-        self.eps = epsilon
+        self.eps = base.epsilon
         self.N = N
-        self.n = n = rho0.shape[0]
+        self.n = n = len(base.spectrum)
         self.dt = 1.0 / N
         self.w = _WEIGHT
         self.SX = skew_basis(n)
-        self.w0, self.U0 = eig_hermitian(rho0)
+        self.w0, self.U0 = base.spectrum, base.frame
         # the in-group rotations of the gauge generators; column phases are pure gauge
         self.SB = _gauge_generators(tuple(degeneracy_groups(self.w0).tolist()))[n:]
 
-    def start(self, X, Z):
-        """x of the constant controls X, Z: with V_0 = U0, the rollout is the
-        geodesic e^{X t_k}(rho0 + Z t_k)e^{-X t_k} sampled at t_k = k/N."""
-        z = np.diagonal(dagger(self.U0) @ Z @ self.U0).real
-        cX = coords(X, self.SX)
-        return np.concatenate([np.tile(cX, self.N), np.tile(z, self.N), np.zeros(len(self.SB))])
+    def start(self):
+        """x of the geodesic's constant controls: with V_0 = U0 and d_k its
+        rates, the rollout is e^{X t_k}(rho0 + Z t_k)e^{-X t_k} at t_k = k/N."""
+        cX = np.tile(coords(self.base.X, self.SX), self.N)
+        return np.concatenate([cX, np.tile(self.base.rates, self.N), np.zeros(len(self.SB))])
 
     def simulate(self, x):
         """The whole path from rho0 under the controls x, each d_k's mean
@@ -219,10 +215,10 @@ def solve_discrete_path(
 ) -> DiscretePath:
     """Minimize the discretized rotation-plus-scaling cost between endpoints.
 
-    Initialization takes the constant-control solution: X_k = X, d_k the
-    eigenvalues of its drift Z in the eigenbasis U0 of rho0 that Z is built
-    on, V_0 = U0, which reproduces the closed-form path exactly in the
-    discrete dynamics; the descent can then only improve on it.  One
+    Initialization takes the constant-control solution and the rho0
+    eigen-coordinates it carries: X_k = X, d_k its rates z and V_0 its frame
+    U0, which reproduces the closed-form path exactly in the discrete
+    dynamics; the descent can then only improve on it.  One
     penalty weight multiplies the squared endpoint residual plus the squared
     negative eigenvalues of the states; continuation doubles it until the
     residual meets ``tol_end`` or ``max_rounds`` is exhausted (the best path
@@ -239,14 +235,13 @@ def solve_discrete_path(
     max_rounds = check_count("max_rounds", max_rounds, 1)
     max_iters = check_count("max_iters", max_iters, 0)
 
-    base = solve_geodesic(rho0, rho1, epsilon)
-    eng = _Engine(rho0, rho1, epsilon, N)
+    eng = _Engine(solve_geodesic(rho0, rho1, epsilon), rho1, N)
 
     def fun(x):
         sim = eng.simulate(x)
         return eng.objective(sim), eng.gradient(sim)
 
-    x = eng.start(base.X, base.Z)
+    x = eng.start()
     sim = eng.simulate(x)
     traces: list[tuple[float, ...]] = []
     for rounds_used in range(1, max_rounds + 1):

@@ -108,6 +108,28 @@ class TestDocuments:
         with pytest.raises(ValueError):
             doc_to_matrix(doc)
 
+    @pytest.mark.parametrize("command", ["interpolate", "path", "decompose"])
+    def test_near_hermitian_document_accepted(self, docs, command):
+        # Hermitian within the 1e-9 load tolerance but not within the
+        # solvers' 1e-12: loading hands them the matrix's Hermitian part
+        near = docs / "near.json"
+        near.write_text(json.dumps({"n": 2, "re": [[0.6, 0.2], [0.2 + 1e-10, 0.4]]}))
+        out = str(docs / "run")
+        argv = {
+            "interpolate": ["--rho0", str(near), "--rho1", str(docs / "rho1.json"),
+                            "--epsilon", "1", "--samples", "3"],
+            "path": ["--rho0", str(near), "--rho1", str(docs / "rho1.json"),
+                     "--epsilon", "1", "--steps", "4", "--max-rounds", "1"],
+            "decompose": ["--rho", str(near), "--direction", str(near)],
+        }[command]
+        assert main([command, *argv, "--out", out, "--quiet"]) == 0
+        M = load_matrix(near)
+        assert np.array_equal(M, M.conj().T) and abs(M[0, 1] - 0.2) <= 1e-10
+
+    def test_near_skew_document_replaced_by_its_skew_part(self):
+        X = doc_to_matrix({"n": 2, "re": [[0.0, -1.6], [1.6 + 1e-10, 0.0]]}, kind="skew")
+        assert np.array_equal(X, -X.conj().T) and abs(X[1, 0] - 1.6) <= 1e-10
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             doc_to_matrix({"n": 3, "re": [[1.0, 0.0], [0.0, 1.0]]})

@@ -462,6 +462,24 @@ def test_eigenvalues_move_linearly_without_push_pop(n, kind, eps):
     assert np.abs(got - want).max() <= 1e-10
 
 
+@pytest.mark.parametrize("kind", ["complex", "real", "block", "block-rho0"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_solution_carries_the_rho0_eigen_coordinates(n, kind):
+    # the frame, spectrum and rates Z is built in, which the path solver
+    # starts from; "block-rho0" swaps a "block" pair, so rho0 is degenerate
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(30 + n), n, kind.removesuffix("-rho0"))
+    if kind == "block-rho0":
+        rho0, rho1 = rho1, rho0
+    sol = solve_geodesic(rho0, rho1, 1.0)
+    U, lam, z = sol.frame, sol.spectrum, sol.rates
+    assert np.abs(U.conj().T @ U - np.eye(n)).max() <= 1e-12
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs((U * lam) @ U.conj().T - rho0).max() <= 1e-12
+    assert np.abs((U * z) @ U.conj().T - sol.Z).max() <= 1e-15
+    mu = np.linalg.eigvalsh(rho1)
+    assert np.abs(z - (mu[list(sol.permutation)] - lam)).max() <= 1e-12
+
+
 # --- input contract ------------------------------------------------------------
 
 

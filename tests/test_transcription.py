@@ -1,9 +1,12 @@
 """Tests for the discretized path solver and its exponential-Euler step."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_psd, random_skew, random_unitary
+from test_geodesic import unit_trace_pair
 
 from denflow.geodesic import InfeasibleError, eval_path, path_cost, sample_path, solve_geodesic
 from denflow.linalg import expm_skew, frob_norm
@@ -249,6 +252,34 @@ class TestSolver:
                       "rounds", "objective_trace"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
+    def test_one_eigendecomposition_per_endpoint(self, monkeypatch):
+        # the geodesic decomposes rho0 and rho1 once each; the path solver
+        # starts from the rho0 frame it carries instead of decomposing again
+        calls = []
+
+        def counting(A, real=sys.modules["denflow.linalg"].eig_hermitian):
+            calls.append(A)
+            return real(A)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "denflow" and "eig_hermitian" in vars(module):
+                monkeypatch.setattr(module, "eig_hermitian", counting)
+        rho0, rho1 = unit_trace_pair(np.random.default_rng(5), 3, "complex")
+        solve_discrete_path(rho0, rho1, 1.0, steps=4, max_rounds=1, max_iters=1)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("eps", [0.3, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cost_at_least_the_geodesic_to_its_own_end(self, seed, n, eps):
+        # a discrete path joining rho0 to its own rho_N exactly costs at least
+        # the geodesic between them when rho0 is non-degenerate: the principal
+        # log has the smallest norm among the logs of a unitary, and the
+        # Frobenius distance on U(n) is bi-invariant
+        rho0, rho1 = unit_trace_pair(np.random.default_rng(seed), n, "complex")
+        path = solve_discrete_path(rho0, rho1, eps, steps=20)
+        assert path.cost >= solve_geodesic(rho0, path.states[-1], eps).cost_total - 1e-8
+
     def test_non_finite_epsilon_rejected(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(ValueError, match="epsilon"):
@@ -302,13 +333,14 @@ class TestGradient:
         else:
             Q = random_unitary(rng, n)
             rho0 = (Q * np.array(spectrum)) @ Q.conj().T
-        eng = _Engine(rho0, rho0, 0.7, N)
+        base = solve_geodesic(rho0, rho0, 0.7)
+        eng = _Engine(base, rho0, N)
         assert len(eng.SB) == (0 if spectrum is None else 2)
         x = rng.normal(scale=0.5, size=N * n * (n + 1) + len(eng.SB))
         x[N * n * n :: n][:N] -= 1.0  # d_k of the lowest eigenvalue
         D = random_hermitian(rng, n, 0.01)
         end = eng.simulate(x).states[-1]
-        eng = _Engine(rho0, end + D - np.trace(D) / n * np.eye(n), 0.7, N)
+        eng = _Engine(base, end + D - np.trace(D) / n * np.eye(n), N)
         sim = eng.simulate(x)
         assert sim.neg > 0.0 and sim.end > 0.0
         assert np.all(x[N * n * (n + 1) :] != 0.0)
@@ -344,7 +376,7 @@ class TestGradient:
         rho1 = random_psd(rng, n)
         rho1 *= np.trace(rho0).real / np.trace(rho1).real
         N = 8
-        eng = _Engine(rho0, rho1, 0.7, N)
+        eng = _Engine(solve_geodesic(rho0, rho1, 0.7), rho1, N)
         x = rng.normal(size=N * n * (n + 1) + len(eng.SB))
         x[N * n * n :: n][:N] -= 1.0  # d_k of the lowest eigenvalue, so the path turns negative
         sim = eng.simulate(x)
