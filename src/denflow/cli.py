@@ -97,9 +97,13 @@ def doc_to_matrix(doc, kind: str = "hermitian") -> np.ndarray:
         return arr
 
     try:
-        M = grid("re") + 1j * grid("im")
+        real, imag = grid("re"), grid("im")
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"matrix entries must be real numbers: {exc}") from None
+    # JSON readers accept NaN and Infinity; reject them before any arithmetic
+    if not (np.all(np.isfinite(real)) and np.all(np.isfinite(imag))):
+        raise DocumentError("matrix entries must be finite")
+    M = real + 1j * imag
     check, label, part = _KIND_CHECKS[kind]
     if not check(M, tol=1e-9):
         raise DocumentError(f"matrix is not {label} within 1e-9")
@@ -545,3 +549,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

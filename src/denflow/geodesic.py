@@ -20,9 +20,10 @@ Matchings are searched best-first.  The gauge cost of a matching is
 bounded below in closed form through the distance from the aligned frame
 to the identity, minimized over gauges (nuclear norms of the diagonal
 blocks of U1* U0'); adding epsilon ||z|| bounds its total cost.
-Matchings are drawn lazily in ascending-bound order and gauge-searched in
-turn until a bound exceeds the best cost found, so no skipped matching
-could have won.
+Matchings are drawn lazily in ascending-bound order, one per class of
+matchings that differ only inside a degenerate group of rho1's spectrum
+(they share bound and cost), and gauge-searched in turn until a bound
+exceeds the best cost found, so no skipped matching could have won.
 
 The gauge search sweeps once along one-parameter subgroups e^{aS} of the
 gauge group from each of a few starts (Absil, Mahony & Sepulchre 2008,
@@ -275,8 +276,14 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
 
 
 def _matchings(lam, mu, U0, U1, epsilon):
-    """Every matching pi once, lazily, in ascending order of a lower bound
-    on its total cost; yields (bound, pi).
+    """One matching pi per class, lazily, in ascending order of a lower
+    bound on its total cost; yields (bound, pi).
+
+    Matchings that differ only inside a degenerate group of mu form a
+    class: the gauge already ranges over the unitaries of each group, and
+    z = mu_pi - lambda is the same, so they share their bound and their
+    true cost.  A prefix is extended by the first free member of each group
+    only, which draws the lexicographically first matching of each class.
 
     The frame U0p of pi has column pi(i) equal to column i of U0, so block
     g of G = U1* U0p is (U1* U0)[g, pi^{-1}(g)] per degenerate group g of
@@ -297,7 +304,8 @@ def _matchings(lam, mu, U0, U1, epsilon):
     """
     n = len(lam)
     A = U1.conj().T @ U0
-    groups = _group_slices(degeneracy_groups(mu))
+    labels = degeneracy_groups(mu)
+    groups = _group_slices(labels)
     c = np.empty((n, n))
     for g in groups:
         c[:, g] = np.linalg.norm(A[g], axis=0)[:, None]
@@ -325,7 +333,11 @@ def _matchings(lam, mu, U0, U1, epsilon):
             yield key, prefix
             continue
         free = [j for j in range(n) if j not in prefix]
-        for j in free:
+        # free and the labels both ascend, so this keeps the first free
+        # member of each mu-group; the others start matchings of its class
+        for k, j in enumerate(free):
+            if k and labels[j] == labels[free[k - 1]]:
+                continue
             child = prefix + (j,)
             if len(child) == n - 1:  # one completion left
                 child += tuple(i for i in free if i != j)

@@ -12,11 +12,13 @@ exact gradient of the smoothed objective, in coordinates x = (a, p, q, c)
 that turn every constraint into a bound: V = V_start e^{A(a)} and X = X(c)
 expand A and X in ``skew_basis``, and z = q sum(p)/sum(q) - p, so the
 bounds p, q >= 0 give p + z >= 0 and sum(z) = 0 by construction.  Each
-evaluation decomposes A and X once (``eig_skew``); V, the propagators
-e^{X t_i} and the gradients in A and X (``expm_skew_adjoint``) all read
-those eigenpairs.  The additive
-i*phi*I gauge of the outer rotation cancels in the conjugation, so the path
-cannot see it; the fitted X is returned traceless.
+evaluation builds A and X in one product with the flattened basis and
+decomposes them in one batched ``eig_skew`` call; one ``exp_i`` turns those
+eigenpairs into V and all the propagators e^{X t_i}, the gradients in A and
+X (``expm_skew_adjoint``) read them too, and one more product with the
+basis takes both gradients to coordinates.  The additive i*phi*I gauge of
+the outer rotation cancels in the conjugation, so the path cannot see it;
+the fitted X is returned traceless.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from .linalg import (
     _phase_fix,
-    along,
     check_count,
     check_skew,
     coords,
@@ -93,6 +94,8 @@ def _check_samples(samples, minimum: int = 1):
             raise ValueError(f"sample at t={s.t} is not a square matrix (shape {v.shape})")
         if v.shape != vals[0].shape:
             raise ValueError("samples must share one matrix dimension")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"sample at t={s.t} has non-finite entries")
         if not is_hermitian(v, tol=1e-9):
             raise ValueError(f"sample at t={s.t} is not Hermitian")
     return ts, np.array(vals)
@@ -195,26 +198,30 @@ def _initial_guess(ts, vals):
     return V0, np.maximum(p0, 0.0), z0, X0
 
 
-def _unpack(x, V_start, S):
-    """eig_skew(A), V, p, z, X, w and sum(q) at x = (a, p, q, c), with
-    z = w sum(p) - p for the weights w = q / sum(q)."""
+def _unpack(x, V_start, S, ts):
+    """(theta, W) = ``eig_skew`` of the stack (A, X), V, the propagators
+    e^{X t_i}, p, z, X, w and sum(q) at x = (a, p, q, c), with
+    z = w sum(p) - p for the weights w = q / sum(q).  A and X are built in
+    one product with the flattened basis and decomposed in one call; V and
+    the propagators come from one ``exp_i``."""
     m, n = len(S), V_start.shape[0]
     a, p, q, c = np.split(x, [m, m + n, m + 2 * n])
     s = q.sum()
     # sum(q) = 0 only at q = 0, where any weights give p + z = 0; uniform
     # ones keep z finite (the all-zero start then stays at p = z = 0)
     w = q / s if s > 0.0 else np.full(n, 1.0 / n)
-    eA = eig_skew(np.tensordot(a, S, 1))
-    return eA, V_start @ exp_i(*eA), p, w * p.sum() - p, np.tensordot(c, S, 1), w, s
+    AX = (np.stack([a, c]) @ S.reshape(m, -1)).reshape(2, n, n)
+    theta, W = eig_skew(AX)
+    E = exp_i(np.concatenate([theta[:1], theta[1] * ts[:, None]]), W[[0] + [1] * len(ts)])
+    return theta, W, V_start @ E[0], E[1:], p, w * p.sum() - p, AX[1], w, s
 
 
 def _objective(x, V_start, S, ts, vals, squared):
-    """Smoothed objective and its exact gradient in x = (a, p, q, c).  A and
-    X are decomposed once each; V, the propagators and both adjoints read
-    those eigenpairs."""
-    eA, V, p, z, X, w, s = _unpack(x, V_start, S)
-    thX, WX = eig_skew(X)
-    props = exp_i(thX * ts[:, None], WX)
+    """Smoothed objective and its exact gradient in x = (a, p, q, c).  One
+    batched ``eig_skew`` of (A, X) feeds V, the propagators and both
+    adjoints; the two basis gradients are one product with the flattened
+    basis."""
+    theta, W, V, props, p, z, _, w, s = _unpack(x, V_start, S, ts)
     lam = p[None, :] + np.outer(ts, z)
     core, states = _flow(props, V, lam)
     R = states - vals
@@ -230,10 +237,12 @@ def _objective(x, V_start, S, ts, vals, squared):
     M = np.einsum("ik,tik->tk", V.conj(), HV).real  # dF/dlam_i = diag(V* H_i V)
     gp, gz = M.sum(axis=0), ts @ M
     gV = 2.0 * np.einsum("tik,tk->ik", HV, lam)
-    gA = expm_skew_adjoint(*eA, [1.0], [dagger(V_start) @ gV])
-    gX = expm_skew_adjoint(thX, WX, ts, 2.0 * G @ props @ core)
+    gA = expm_skew_adjoint(theta[0], W[0], [1.0], [dagger(V_start) @ gV])
+    gX = expm_skew_adjoint(theta[1], W[1], ts, 2.0 * G @ props @ core)
+    # Re<S_j, G> for both gradients at once: the derivatives along the basis
+    ga, gc = (np.stack([gA, gX]).reshape(2, -1) @ S.reshape(len(S), -1).conj().T).real
     gq = (p.sum() / s) * (gz - gz @ w) if s > 0.0 else np.zeros(len(w))
-    return float(f), np.concatenate([along(gA, S), gp - gz + gz @ w, gq, along(gX, S)])
+    return float(f), np.concatenate([ga, gp - gz + gz @ w, gq, gc])
 
 
 def solve_regularization(
@@ -251,7 +260,9 @@ def solve_regularization(
     iteration lowers the smoothed objective by less than 1e-8 relative to
     max(1, objective) or the projected gradient vanishes.  The lowest
     objective wins; the returned model's ``stalled`` and ``history`` are
-    those of the winning start.
+    those of the winning start.  The history opens with the solver's own
+    first evaluation, at the start, so a start costs no evaluation beyond
+    the solver's.
     """
     from scipy.optimize import Bounds, minimize  # here, so synthesis needs no scipy
 
@@ -280,16 +291,24 @@ def solve_regularization(
         # gives p + z >= 0 and sum(z) = 0 at every point of it
         x0 = np.concatenate([np.zeros(m), np.maximum(p, 0.0), np.maximum(p + z, 0.0),
                              coords(X, S)])
-        history = [_objective(x0, *args)[0]]
+        history = []
+
+        def fun(x, *args):
+            # L-BFGS-B evaluates at x0 first: that value opens the history
+            f, g = _objective(x, *args)
+            if not history:
+                history.append(f)
+            return f, g
+
         res = minimize(
-            _objective, x0, args=args, method="L-BFGS-B", jac=True, bounds=bounds,
+            fun, x0, args=args, method="L-BFGS-B", jac=True, bounds=bounds,
             options={"maxiter": max_iters, "ftol": _REL_TOL},
             callback=lambda intermediate_result: history.append(float(intermediate_result.fun)),
         )
         if best is None or res.fun < best[0]:
             best = (res.fun, res.x, V, res.status == 1, history)
     _, x, V_start, stalled, history = best
-    _, V, p, z, X, _, _ = _unpack(x, V_start, S)
+    _, _, V, _, p, z, X, _, _ = _unpack(x, V_start, S, ts)
     # column phases of V are pure gauge (they commute with the diagonal
     # core), so fix them for reproducible output
     model = RegularizedModel(

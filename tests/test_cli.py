@@ -321,6 +321,24 @@ class TestInterpolate:
         assert "positive integer field 'n'" in capfd.readouterr().err
         assert not (out / "solution.json").exists()
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_non_finite_entry_exits_3(self, docs, tmp_path, field, entry, capfd):
+        # JSON readers accept both; the message names the entries, not a
+        # failed Hermitian check
+        doc = {"n": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        doc[field][0][0] = float(entry.replace("Infinity", "inf"))
+        (tmp_path / "bad.json").write_text(json.dumps(doc))  # written as NaN or Infinity
+        out = docs / "run"
+        code = main([
+            "interpolate", "--rho0", str(tmp_path / "bad.json"),
+            "--rho1", str(docs / "rho1.json"), "--epsilon", "1", "--out", str(out),
+        ])
+        assert code == 3
+        err = capfd.readouterr().err
+        assert "finite" in err and "Hermitian" not in err
+        assert not (out / "solution.json").exists()
+
     def test_usage_error_exits_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["interpolate", "--epsilon", "1"])
@@ -603,6 +621,20 @@ class TestSynthAndRegularize:
         assert code == 3
         assert not (out / "model.json").exists()
 
+    def test_regularize_infinite_sample_entry_exits_3(self, sdocs, capfd):
+        assert self.synth(sdocs, sdocs / "a") == 0
+        doc = json.loads((sdocs / "a" / "dataset.json").read_text())
+        doc["samples"][3]["matrix"]["re"][0][1] = float("inf")
+        (sdocs / "inf.json").write_text(json.dumps(doc))  # written as Infinity
+        out = sdocs / "fit"
+        code = main([
+            "regularize", "--data", str(sdocs / "inf.json"),
+            "--seeds", "1", "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert "finite" in capfd.readouterr().err
+        assert not (out / "model.json").exists()
+
     def test_regularize_nan_sample_time_exits_3(self, sdocs):
         assert self.synth(sdocs, sdocs / "a") == 0
         doc = json.loads((sdocs / "a" / "dataset.json").read_text())
@@ -827,3 +859,23 @@ class TestImports:
     def test_one_infeasible_error(self):
         assert denflow.InfeasibleError is denflow.geodesic.InfeasibleError
         assert denflow.InfeasibleError is denflow.linalg.InfeasibleError
+
+
+class TestModuleEntry:
+    def run(self, *args, cwd):
+        src = pathlib.Path(denflow.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-m", "denflow.cli", *args], env=env,
+                              cwd=cwd, capture_output=True, text=True)
+
+    def test_help(self, tmp_path):
+        res = self.run("--help", cwd=tmp_path)
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage:")
+
+    def test_decompose_writes_its_document(self, docs):
+        res = self.run("decompose", "--rho", str(docs / "rho0.json"),
+                       "--direction", str(docs / "rho1.json"),
+                       "--out", str(docs / "split"), "--quiet", cwd=docs)
+        assert res.returncode == 0, res.stderr
+        assert (docs / "split" / "decomposition.json").stat().st_size > 0

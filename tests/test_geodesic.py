@@ -369,14 +369,27 @@ def test_best_first_matches_exhaustive_enumeration(exhaustive, eps):
     assert abs(sol.cost_total - total) <= 1e-12
 
 
+def representative(perm, mu):
+    """The matching of perm's class that _matchings draws: inside each
+    degenerate group of mu, the members go to their positions in ascending
+    order, which makes it the lexicographically first of the class."""
+    rep = list(perm)
+    for g in geo._group_slices(degeneracy_groups(mu)):
+        members = set(g.tolist())
+        for i, j in zip([i for i, j in enumerate(perm) if j in members], g):
+            rep[i] = int(j)
+    return tuple(rep)
+
+
 def test_chordal_bound_never_exceeds_gauge_cost(exhaustive):
-    # the bound searched on is the Jensen-arcsin one, at least the chordal
+    # the bound searched on is the Jensen-arcsin one, at least the chordal;
+    # a matching shares its bound with the representative of its class
     rho0, rho1, rows = exhaustive
     lam, U0 = eig_hermitian(rho0)
     mu, U1 = eig_hermitian(rho1)
     bounds = {perm: b for b, perm in geo._matchings(lam, mu, U0, U1, 0.0)}
     for perm, gcost, _ in rows:
-        assert bounds[perm] <= gcost + geo._BOUND_SLACK, perm
+        assert bounds[representative(perm, mu)] <= gcost + geo._BOUND_SLACK, perm
 
 
 def full_array_bounds(lam, mu, U0, U1, eps):
@@ -402,16 +415,20 @@ DRAIN_CASES = [("complex", n, 110 + n) for n in (2, 3, 4, 5, 6)] + [
 @pytest.mark.parametrize("eps", [0.0, 1.0, 10.0])
 @pytest.mark.parametrize("kind, n, seed", DRAIN_CASES)
 def test_matchings_drain_every_permutation_once_in_bound_order(kind, n, seed, eps):
+    # every permutation is drained once through the representative of its
+    # class; with a simple mu spectrum each class is a single permutation
     rho0, rho1 = unit_trace_pair(np.random.default_rng(seed), n, kind)
     lam, U0 = eig_hermitian(rho0)
     mu, U1 = eig_hermitian(rho1)
     drained = list(geo._matchings(lam, mu, U0, U1, eps))
     perms = list(itertools.permutations(range(n)))
-    assert sorted(p for _, p in drained) == perms
+    assert sorted(p for _, p in drained) == sorted({representative(p, mu) for p in perms})
     bounds = np.array([b for b, _ in drained])
     assert np.diff(bounds).min() >= -1e-13  # ascending up to rounding
     want = dict(zip(perms, full_array_bounds(lam, mu, U0, U1, eps)))
-    assert max(abs(b - want[p]) for b, p in drained) <= 1e-12
+    got = {p: b for b, p in drained}
+    assert max(abs(b - want[p]) for p, b in got.items()) <= 1e-12
+    assert max(abs(want[p] - got[representative(p, mu)]) for p in perms) <= 1e-12
 
 
 def test_n8_matching_is_the_full_enumeration_optimum():
@@ -446,6 +463,22 @@ def test_bound_prunes_most_matchings_at_n6(monkeypatch):
     monkeypatch.setattr(geo, "_gauge_search", counting)
     solve_geodesic(rho0, rho1, 1.0)
     assert 1 <= len(calls) <= 72  # of 720 matchings
+
+
+def test_a_degenerate_group_costs_one_gauge_search(monkeypatch):
+    # the 3! matchings that permute a triple of rho1's spectrum are one
+    # class, searched once
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(90), 4, "triple")
+    calls = []
+    search = geo._gauge_search
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "_gauge_search", counting)
+    solve_geodesic(rho0, rho1, 1.0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])

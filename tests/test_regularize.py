@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import denflow.regularize as reg
 from conftest import random_hermitian, random_skew, random_unitary
 from denflow.linalg import coords, expm_skew, frob_norm, is_unitary, skew_basis
 from denflow.regularize import (
@@ -184,6 +186,83 @@ class TestGradient:
         assert np.abs(g - ref).max() <= 1e-7 * max(1.0, np.abs(g).max())
 
 
+class TestFusedEvaluation:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_eigendecomposition_per_evaluation(self, n, monkeypatch):
+        # A and X are decomposed together, at n = 2 as well
+        rng = np.random.default_rng(40 + n)
+        S = skew_basis(n)
+        ts = np.linspace(0.1, 1.0, 4)
+        vals = np.stack([random_hermitian(rng, n) for _ in ts])
+        x = np.concatenate([coords(random_skew(rng, n, 0.5), S), rng.uniform(0.2, 1.0, 2 * n),
+                            coords(random_skew(rng, n), S)])
+        args = (expm_skew(random_skew(rng, n, 0.5)), S, ts, vals, False)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        _objective(x, *args)
+        assert len(calls) == 1
+
+    def test_one_evaluation_per_solver_call(self, monkeypatch):
+        # the history opens with L-BFGS-B's own first evaluation, at x0
+        results, calls = [], []
+        minimize, objective = scipy.optimize.minimize, reg._objective
+
+        def recording(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        def counting(*args):
+            calls.append(1)
+            return objective(*args)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(reg, "_objective", counting)
+        noisy = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES, noise_amp=0.05, seed=13)
+        m = solve_regularization(noisy, seeds=1)
+        assert len(results) == 1
+        assert len(calls) == results[0].nfev
+        assert len(m.history) == results[0].nit + 1
+
+
+FLAG_FITS = [(2, 0.05, 13), (2, 0.0, 4), (3, 0.03, 23)]  # (n, noise, seed)
+
+
+def flag_fit_samples(n, noise, seed):
+    rng = np.random.default_rng(seed)
+    rho0 = random_hermitian(rng, n)
+    rho0 = rho0 @ rho0
+    rho0 = rho0 / np.trace(rho0).real
+    z = np.sort(rng.dirichlet(np.ones(n))) - np.linalg.eigvalsh(rho0)
+    return synth_noisy_path(rho0, random_skew(rng, n), z, TIMES, noise_amp=noise, seed=seed)
+
+
+class TestReportedFlags:
+    # every flag agrees with the numbers next to it, whether a start stalls
+    # (a budget of 3 iterations) or stops on its own
+    @pytest.mark.parametrize("max_iters", [3, 5000])
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("fit", FLAG_FITS, ids=lambda f: f"n{f[0]}-noise{f[1]}")
+    def test_flags_agree_with_history_and_objective(self, fit, squared, max_iters):
+        samples = flag_fit_samples(*fit)
+        m = solve_regularization(samples, seeds=2, max_iters=max_iters, squared=squared)
+        assert m.stalled == (len(m.history) - 1 >= max_iters)
+        assert m.stalled == (max_iters == 3)
+        assert all(b <= a for a, b in zip(m.history, m.history[1:]))
+        if squared:
+            # the noise-free fit ends at misfits near 1e-5, whose squares
+            # carry a rounding near 1e-21 each
+            assert abs(m.objective - m.history[-1]) <= 1e-12 * m.objective + 1e-18
+        else:
+            # the smoothing shifts each misfit by at most 1e-8
+            assert abs(m.objective - m.history[-1]) <= len(samples) * 1e-8
+
+
 class TestSolve:
     def test_noise_free_recovery(self):
         data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES, noise_amp=0.0, seed=1)
@@ -296,6 +375,18 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"t=0\.1 is not a square matrix"):
             solve_regularization(data, seeds=1, max_iters=2)
         with pytest.raises(ValueError, match=r"t=0\.1 is not a square matrix"):
+            residual(truth_model(RHO0, XTRUE), data)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_rejected(self, entry):
+        # named as such, before a Hermitian check can warn on inf - inf
+        bad = np.eye(2, dtype=complex)
+        bad[0, 1] = entry
+        data = [MatrixSample(t, np.eye(2, dtype=complex)) for t in (0.1, 0.5, 0.9)]
+        data[1] = MatrixSample(0.5, bad)
+        with pytest.raises(ValueError, match=r"t=0\.5 has non-finite entries"):
+            solve_regularization(data, seeds=1, max_iters=2)
+        with pytest.raises(ValueError, match="finite"):
             residual(truth_model(RHO0, XTRUE), data)
 
     def test_non_hermitian_sample_rejected(self):
