@@ -87,19 +87,19 @@ def doc_to_matrix(doc, kind: str = "hermitian") -> np.ndarray:
     if "re" not in doc:
         raise DocumentError("matrix document needs a field 're'")
 
-    def grid(field, default=None):
-        raw = doc.get(field, default)
+    def grid(field):
+        raw = doc.get(field)
         if raw is None:
             return np.zeros((n, n))
-        arr = np.asarray(raw, dtype=float)
+        try:
+            arr = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"matrix entries must be real numbers: {exc}") from None
         if arr.shape != (n, n):
-            raise DocumentError(f"field '{field}' must be an {n}x{n} array")
+            raise DocumentError(f"field '{field}' must have shape {n}x{n}")
         return arr
 
-    try:
-        real, imag = grid("re"), grid("im")
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"matrix entries must be real numbers: {exc}") from None
+    real, imag = grid("re"), grid("im")
     # JSON readers accept NaN and Infinity; reject them before any arithmetic
     if not (np.all(np.isfinite(real)) and np.all(np.isfinite(imag))):
         raise DocumentError("matrix entries must be finite")

@@ -25,9 +25,10 @@ matchings that differ only inside a degenerate group of rho1's spectrum
 (they share bound and cost), and gauge-searched in turn until a bound
 exceeds the best cost found, so no skipped matching could have won.
 
-The gauge search sweeps once along one-parameter subgroups e^{aS} of the
-gauge group from each of a few starts (Absil, Mahony & Sepulchre 2008,
-ch. 4), then polishes the best swept gauge to a stationary point.  Each
+The gauge search starts from the blockwise polar factor or the best flip
+of one or two of its column signs, sweeps once along one-parameter
+subgroups e^{aS} of the gauge group (Absil, Mahony & Sepulchre 2008,
+ch. 4), then polishes the swept gauge to a stationary point.  Each
 generator S is a column phase i E_kk or, inside a degenerate group, a
 real rotation E_lk - E_kl or an imaginary one i(E_lk + E_kl).  All of them
 satisfy S^3 = -S, so e^{aS} = I + sin(a) S + (1 - cos a) S^2 (Rodrigues),
@@ -158,7 +159,6 @@ _GRID = np.linspace(-np.pi, np.pi, 25)
 # gauge coordinates; at 1e-9 and below the line search runs into the
 # rounding floor of the log norm and ends on "precision loss"
 _GAUGE_GTOL = 1e-8
-_SIGN_LIMIT = 12  # largest n whose 2^n real sign patterns are scored for a start
 
 
 @functools.lru_cache(maxsize=64)
@@ -187,61 +187,60 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     """Minimize ||log(U1 Theta U0p*)||_F over gauges Theta commuting with
     diag(spectrum).  Returns (cost, Theta).
 
-    One coordinate sweep along ``_gauge_generators`` from each
-    frame-covariant start: the blockwise polar factor and, for real frames,
-    the best real sign pattern.  Per coordinate S the pencil of Herm(U1
-    Theta e^{aS} U0p*) is formed once; a grid over [-pi, pi] brackets the
-    best step and ``golden`` refines it one period (2 pi) up, where its
-    relative stop |x3 - x0| <= tol (|x1| + |x2|) closes at ~1e-6 rad instead
-    of chasing rounding and arccos noise.  The first strictly best swept gauge Theta_s
-    is then polished by BFGS over Theta = Theta_s e^{B(b)}, B(b) = sum_i b_i
-    S_i, on f(b) = 1/2 ||L||_F^2 with L = ``logm_unitary``(Q) and Q = U1
-    Theta U0p*.  With Y = (U1 Theta_s)* Q L U0p, df = Re<Y, d e^{B}>, which
-    ``expm_skew_adjoint`` turns into the gradient in B and ``along`` into b.
-    The polished gauge is kept only if its cost is below the swept one.
+    The start is the blockwise polar factor of U1* U0p or, if one scores
+    lower by more than ``_TIE``, the best flip of one or two of its column
+    signs: the same start in every frame of a pair with a simple spectrum.
+    Real frames need the flips: there f(b) = f(-b) under conjugation, so a
+    real gauge without an eigenphase at pi is a critical point.  Two flips
+    is the smallest move that keeps a real frame map's determinant class.
+
+    One coordinate sweep along ``_gauge_generators`` follows.  Per
+    coordinate S the pencil of Herm(U1 Theta e^{aS} U0p*) is formed once; a
+    grid over [-pi, pi] brackets the best step and ``golden`` refines it one
+    period (2 pi) up, where its relative stop |x3 - x0| <= tol (|x1| + |x2|)
+    closes at ~1e-6 rad instead of chasing rounding and arccos noise.  The
+    swept gauge Theta_s is then polished by BFGS over Theta = Theta_s
+    e^{B(b)}, B(b) = sum_i b_i S_i, on f(b) = 1/2 ||L||_F^2 with L =
+    ``logm_unitary``(Q) and Q = U1 Theta U0p*.  With Y = (U1 Theta_s)* Q L
+    U0p, df = Re<Y, d e^{B}>, which ``expm_skew_adjoint`` turns into the
+    gradient in B and ``along`` into b.  The polished gauge is kept only if
+    its cost is below the swept one.
     """
     n = U0p.shape[0]
     U0pH = U0p.conj().T
     labels = degeneracy_groups(spectrum)
     gens = _gauge_generators(tuple(labels.tolist()))
 
-    starts = [_polar_init(U1.conj().T @ U0p, _group_slices(labels))]
-
-    real_inputs = np.abs(U0p.imag).max() <= 1e-12 and np.abs(U1.imag).max() <= 1e-12
-    if real_inputs and n <= _SIGN_LIMIT:
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-        cands = np.zeros((len(signs), n, n), dtype=complex)
-        cands[:, np.arange(n), np.arange(n)] = signs
-        costs = _log_norm(U1 @ cands @ U0pH)
-        # first strict minimum keeps the enumeration-order tie-break
-        j = int(np.argmin(costs))
-        starts.append(cands[j])
+    # the polar factor first, then each flip of columns k <= l (one if k = l)
+    k, l = np.triu_indices(n)
+    r = np.arange(1, len(k) + 1)
+    flips = np.ones((len(k) + 1, n))
+    flips[r, k] = flips[r, l] = -1.0
+    cands = _polar_init(U1.conj().T @ U0p, _group_slices(labels)) * flips[:, None, :]
+    costs = _log_norm(U1 @ cands @ U0pH)
+    j = int(np.argmin(costs)) if costs.min() < costs[0] - _TIE else 0
+    Theta, cur = cands[j], float(costs[j])
 
     h = _GRID[1] - _GRID[0]
-    best_cost, best_Theta = np.inf, None
-    for Theta in starts:
-        cur = _log_norm(U1 @ Theta @ U0pH)
-        for S in gens:
-            steps = np.stack([Theta, Theta @ S, Theta @ S @ S])
-            P = hermitian_part(U1 @ steps @ U0pH)
-            vals = _phase_norm(_pencil(P, _GRID))
-            j = int(np.argmin(vals))
-            b = _GRID[j] + 2 * np.pi
-            xmin, fmin, _ = golden(
-                lambda a: _phase_norm(_pencil(P, a)), brack=(b - h, b, b + h),
-                tol=1e-7, full_output=True,
-            )
-            if vals[j] < fmin:
-                xmin, fmin = _GRID[j], vals[j]
-            # acceptance threshold sits above the ~sqrt(eps) noise floor
-            # of the arccos-based score at phases near 0 and near +-pi
-            if fmin < cur - 1e-9:
-                Theta = _pencil(steps, xmin)
-                cur = float(fmin)
-        if cur < best_cost - _TIE:
-            best_cost, best_Theta = cur, Theta
+    for S in gens:
+        steps = np.stack([Theta, Theta @ S, Theta @ S @ S])
+        P = hermitian_part(U1 @ steps @ U0pH)
+        vals = _phase_norm(_pencil(P, _GRID))
+        j = int(np.argmin(vals))
+        b = _GRID[j] + 2 * np.pi
+        xmin, fmin, _ = golden(
+            lambda a: _phase_norm(_pencil(P, a)), brack=(b - h, b, b + h),
+            tol=1e-7, full_output=True,
+        )
+        if vals[j] < fmin:
+            xmin, fmin = _GRID[j], vals[j]
+        # acceptance threshold sits above the ~sqrt(eps) noise floor
+        # of the arccos-based score at phases near 0 and near +-pi
+        if fmin < cur - 1e-9:
+            Theta = _pencil(steps, xmin)
+            cur = float(fmin)
 
-    A = U1 @ best_Theta
+    A = U1 @ Theta
 
     def half_sq_log_norm(b):
         theta, W = eig_skew(np.tensordot(b, gens, 1))
@@ -253,9 +252,9 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     res = minimize(half_sq_log_norm, np.zeros(len(gens)), jac=True, method="BFGS",
                    options={"gtol": _GAUGE_GTOL})
     cost = float(np.sqrt(2.0 * res.fun))
-    if cost < best_cost:
-        return cost, best_Theta @ expm_skew(np.tensordot(res.x, gens, 1))
-    return best_cost, best_Theta
+    if cost < cur:
+        return cost, Theta @ expm_skew(np.tensordot(res.x, gens, 1))
+    return cur, Theta
 
 
 def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -263,9 +262,9 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
 
     Columns of U0p and U1 must pair identical ``spectrum`` entries.  The
     residual freedom — unitaries commuting with diag(spectrum): per-column
-    phases, full blocks on repeated entries, and diagonal sign patterns for
-    real frames — is searched to minimize the log norm: from each
-    frame-covariant start, one sweep along the one-parameter subgroups
+    phases and full blocks on repeated entries — is searched to minimize
+    the log norm: from the best of the blockwise polar factor and its one-
+    and two-column sign flips, one sweep along the one-parameter subgroups
     e^{aS} of a column phase or of a real or imaginary rotation inside a
     block, then a BFGS polish on the exact gradient (see ``_gauge_search``).
     Repeated entries are grouped by ``linalg.degeneracy_groups``.  X is the

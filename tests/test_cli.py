@@ -134,6 +134,17 @@ class TestDocuments:
         with pytest.raises(ValueError):
             doc_to_matrix({"n": 3, "re": [[1.0, 0.0], [0.0, 1.0]]})
 
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_shape_error_names_the_shape(self, field):
+        doc = {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], field: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+        with pytest.raises(DocumentError, match=f"field '{field}' must have shape 2x2") as info:
+            doc_to_matrix(doc)
+        assert "real numbers" not in str(info.value)
+
+    def test_text_entry_rejected_as_not_a_number(self):
+        with pytest.raises(DocumentError, match="matrix entries must be real numbers"):
+            doc_to_matrix({"n": 2, "re": [[1.0, "one"], [0.0, 1.0]]})
+
     @pytest.mark.parametrize(
         "doc, message",
         [

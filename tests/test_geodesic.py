@@ -633,11 +633,45 @@ def test_gauge_search_ends_at_a_stationary_point(kind, n, seed):
     assert np.abs(grad).max() <= 1e-6
 
 
+@pytest.mark.parametrize("n, seed, perm", [(4, 204, (0, 2, 1, 3)), (3, 205, (0, 2, 1)),
+                                           (3, 206, (2, 1, 0))],
+                         ids=["n4-s204", "n3-s205", "n3-s206"])
+def test_gauge_search_cost_is_invariant_under_unitary_conjugation(n, seed, perm):
+    # per matching: a real pair and the same pair in a complex frame reach
+    # the same gauge cost, so the start does not depend on the frame
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(seed), n, "real")
+    V = random_unitary(np.random.default_rng(seed + 1000), n)
+    P = np.eye(n)[list(perm)]  # P[i, perm[i]] = 1, as in solve_geodesic
+    costs = []
+    for a, b in ((rho0, rho1), (V @ rho0 @ V.conj().T, V @ rho1 @ V.conj().T)):
+        _, U0 = eig_hermitian(a)
+        mu, U1 = eig_hermitian(b)
+        costs.append(geo._gauge_search(U0 @ P, U1, mu)[0])
+    assert abs(costs[0] - costs[1]) <= 1e-12
+
+
+def test_gauge_search_sweeps_once(monkeypatch):
+    # a simple spectrum at n = 3 has three column phases: one line search each
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(205), 3, "real")
+    _, U0 = eig_hermitian(rho0)
+    mu, U1 = eig_hermitian(rho1)
+    calls = []
+
+    def counting(func, **kwargs):
+        calls.append(func)
+        return golden(func, **kwargs)
+
+    monkeypatch.setattr(geo, "golden", counting)
+    geo._gauge_search(U0, U1, mu)
+    assert len(calls) == 3
+
+
 # --- metamorphic oracles on the optimal cost C(epsilon) ------------------------
 
 ORACLE_EPS = np.array([0.0, 0.1, 0.3, 1.0, 3.0, 10.0])
-# (kind, n, seed): two seeded pairs per kind and size
+# (kind, n, seed): two seeded pairs per kind and size, and a real n = 6 pair
 ORACLE_CASES = [(k, n, s) for k in ("complex", "real") for n in (2, 3, 4) for s in (1, 2)]
+ORACLE_CASES += [("real", 6, 1)]
 
 
 @pytest.fixture(scope="module", params=ORACLE_CASES, ids=lambda c: f"{c[0]}-n{c[1]}-s{c[2]}")
