@@ -180,6 +180,7 @@ def write_path_csv(path: str, times, states) -> None:
     """Rows of t, flattened entries (re then im), eigenvalues, min-eig, trace."""
     states = np.asarray(states)
     n = states.shape[1]
+    spectra = np.linalg.eigvalsh(hermitian_part(states))
     header = (
         ["t"]
         + [f"re_{i}_{j}" for i in range(n) for j in range(n)]
@@ -190,8 +191,7 @@ def write_path_csv(path: str, times, states) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t, M in zip(times, states):
-            eigs = eig_hermitian(M).values
+        for t, M, eigs in zip(times, states, spectra):
             row = (
                 [float(t)]
                 + [float(x) for x in M.real.ravel()]

@@ -25,12 +25,12 @@ matchings that differ only inside a degenerate group of rho1's spectrum
 (they share bound and cost), and gauge-searched in turn until a bound
 exceeds the best cost found, so no skipped matching could have won.
 
-The gauge search starts from the blockwise polar factor or the best flip
-of one or two of its column signs, sweeps once along one-parameter
-subgroups e^{aS} of the gauge group (Absil, Mahony & Sepulchre 2008,
-ch. 4), then polishes the swept gauge to a stationary point.  Each
-generator S is a column phase i E_kk or, inside a degenerate group, a
-real rotation E_lk - E_kl or an imaginary one i(E_lk + E_kl).  All of them
+The gauge search starts from ``linalg.polar_gauge`` or the best flip of
+one or two of its column signs, sweeps once along one-parameter subgroups
+e^{aS} of the gauge group (Absil, Mahony & Sepulchre 2008, ch. 4), then
+polishes the swept gauge to a stationary point.  Each generator S of
+``linalg.skew_basis(n, labels)`` is a column phase i E_kk or, inside a
+degenerate group, a rotation E_kl - E_lk or i(E_kl + E_lk).  All of them
 satisfy S^3 = -S, so e^{aS} = I + sin(a) S + (1 - cos a) S^2 (Rodrigues),
 and the Hermitian part of U1 Theta e^{aS} U0'*, whose eigenvalues are the
 cosines of the rotation's phases, is a pencil H0 + sin(a) H1 +
@@ -47,9 +47,7 @@ Riemannian gradient on the gauge group (Absil et al. 2008, sec. 3.6).
 
 from __future__ import annotations
 
-import functools
 import heapq
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -69,9 +67,12 @@ from .linalg import (
     expm_skew_adjoint,
     expm_skew_times,
     frob_norm,
+    group_slices,
     hermitian_part,
     is_hermitian,
     logm_unitary,
+    polar_gauge,
+    skew_basis,
 )
 
 _TIE = 1e-12
@@ -136,45 +137,11 @@ def _log_norm(Q: np.ndarray):
     return _phase_norm(hermitian_part(Q))
 
 
-def _group_slices(labels: np.ndarray) -> list[np.ndarray]:
-    return [np.flatnonzero(labels == g) for g in range(labels[-1] + 1)] if len(labels) else []
-
-
-def _polar_init(G: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    """Blockwise unitary polar factors of G's diagonal blocks."""
-    Theta = np.zeros_like(G)
-    for idx in groups:
-        B = G[np.ix_(idx, idx)]
-        if len(idx) == 1:
-            a = B[0, 0]
-            Theta[idx[0], idx[0]] = a / abs(a) if abs(a) > 1e-12 else 1.0
-        else:
-            W, _, Vh = np.linalg.svd(B)
-            Theta[np.ix_(idx, idx)] = W @ Vh
-    return Theta
-
-
 _GRID = np.linspace(-np.pi, np.pi, 25)
 # BFGS stop on the largest gradient component of 1/2 ||log Q||_F^2 in the
 # gauge coordinates; at 1e-9 and below the line search runs into the
 # rounding floor of the log norm and ends on "precision loss"
 _GAUGE_GTOL = 1e-8
-
-
-@functools.lru_cache(maxsize=64)
-def _gauge_generators(labels: tuple[int, ...]) -> np.ndarray:
-    """Skew generators (m, n, n), read-only, of the gauge group of a spectrum
-    with these degeneracy labels: a phase i E_kk per column, then per pair
-    k < l of a group the rotations E_lk - E_kl and i(E_lk + E_kl)."""
-    n = len(labels)
-    E = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
-    gens = [1j * E[k, k] for k in range(n)]
-    for k, l in itertools.combinations(range(n), 2):
-        if labels[k] == labels[l]:
-            gens += [E[l, k] - E[k, l], 1j * (E[l, k] + E[k, l])]
-    out = np.array(gens)
-    out.flags.writeable = False
-    return out
 
 
 def _pencil(P: np.ndarray, a) -> np.ndarray:
@@ -194,29 +161,29 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     real gauge without an eigenphase at pi is a critical point.  Two flips
     is the smallest move that keeps a real frame map's determinant class.
 
-    One coordinate sweep along ``_gauge_generators`` follows.  Per
-    coordinate S the pencil of Herm(U1 Theta e^{aS} U0p*) is formed once; a
-    grid over [-pi, pi] brackets the best step and ``golden`` refines it one
-    period (2 pi) up, where its relative stop |x3 - x0| <= tol (|x1| + |x2|)
-    closes at ~1e-6 rad instead of chasing rounding and arccos noise.  The
-    swept gauge Theta_s is then polished by BFGS over Theta = Theta_s
-    e^{B(b)}, B(b) = sum_i b_i S_i, on f(b) = 1/2 ||L||_F^2 with L =
-    ``logm_unitary``(Q) and Q = U1 Theta U0p*.  With Y = (U1 Theta_s)* Q L
-    U0p, df = Re<Y, d e^{B}>, which ``expm_skew_adjoint`` turns into the
-    gradient in B and ``along`` into b.  The polished gauge is kept only if
-    its cost is below the swept one.
+    One coordinate sweep along the gauge generators ``skew_basis(n,
+    labels)`` follows.  Per coordinate S the pencil of Herm(U1 Theta e^{aS}
+    U0p*) is formed once; a grid over [-pi, pi] brackets the best step and
+    ``golden`` refines it one period (2 pi) up, where its relative stop
+    |x3 - x0| <= tol (|x1| + |x2|) closes at ~1e-6 rad instead of chasing
+    rounding and arccos noise.  The swept gauge Theta_s is then polished by
+    BFGS over Theta = Theta_s e^{B(b)}, B(b) = sum_i b_i S_i, on f(b) = 1/2
+    ||L||_F^2 with L = ``logm_unitary``(Q) and Q = U1 Theta U0p*.  With Y =
+    (U1 Theta_s)* Q L U0p, df = Re<Y, d e^{B}>, which ``expm_skew_adjoint``
+    turns into the gradient in B and ``along`` into b.  The polished gauge
+    is kept only if its cost is below the swept one.
     """
     n = U0p.shape[0]
     U0pH = U0p.conj().T
     labels = degeneracy_groups(spectrum)
-    gens = _gauge_generators(tuple(labels.tolist()))
+    gens = skew_basis(n, labels)
 
     # the polar factor first, then each flip of columns k <= l (one if k = l)
     k, l = np.triu_indices(n)
     r = np.arange(1, len(k) + 1)
     flips = np.ones((len(k) + 1, n))
     flips[r, k] = flips[r, l] = -1.0
-    cands = _polar_init(U1.conj().T @ U0p, _group_slices(labels)) * flips[:, None, :]
+    cands = polar_gauge(U1.conj().T @ U0p, labels) * flips[:, None, :]
     costs = _log_norm(U1 @ cands @ U0pH)
     j = int(np.argmin(costs)) if costs.min() < costs[0] - _TIE else 0
     Theta, cur = cands[j], float(costs[j])
@@ -261,14 +228,10 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
     """Smallest-norm X with e^X mapping the frame U0p onto U1 up to gauge.
 
     Columns of U0p and U1 must pair identical ``spectrum`` entries.  The
-    residual freedom — unitaries commuting with diag(spectrum): per-column
-    phases and full blocks on repeated entries — is searched to minimize
-    the log norm: from the best of the blockwise polar factor and its one-
-    and two-column sign flips, one sweep along the one-parameter subgroups
-    e^{aS} of a column phase or of a real or imaginary rotation inside a
-    block, then a BFGS polish on the exact gradient (see ``_gauge_search``).
-    Repeated entries are grouped by ``linalg.degeneracy_groups``.  X is the
-    principal logarithm of the aligned frame map, which every unitary has.
+    residual freedom, the gauge of the spectrum that ``linalg`` decides
+    (column phases and full blocks on repeated entries), is searched to
+    minimize the log norm (see ``_gauge_search``).  X is the principal
+    logarithm of the aligned frame map, which every unitary has.
     """
     _, Theta = _gauge_search(U0p, U1, spectrum)
     return logm_unitary(U1 @ Theta @ U0p.conj().T)
@@ -304,7 +267,7 @@ def _matchings(lam, mu, U0, U1, epsilon):
     n = len(lam)
     A = U1.conj().T @ U0
     labels = degeneracy_groups(mu)
-    groups = _group_slices(labels)
+    groups = group_slices(labels)
     c = np.empty((n, n))
     for g in groups:
         c[:, g] = np.linalg.norm(A[g], axis=0)[:, None]

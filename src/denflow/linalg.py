@@ -15,8 +15,11 @@ the set.  The unitary eigendecomposition behind the logarithm is read off
 a complex Schur form.  Every unitary has a principal logarithm, its
 eigenphases taken in (-pi, pi], so the logarithm refuses no input.
 ``degeneracy_groups`` holds the one rule for which eigenvalues count as
-degenerate.  ``check_count`` checks that a solver budget is a whole number
-in range, and ``check_skew`` that a rotation generator is skew-Hermitian.
+degenerate, and the gauge of the spectrum it labels is decided here:
+``skew_basis(n, labels)`` generates it, ``polar_gauge`` is its member
+nearest a matrix, and ``phase_fix`` fixes a basis's column phases.
+``check_count`` checks that a solver budget is a whole number in range,
+and ``check_skew`` that a rotation generator is skew-Hermitian.
 ``InfeasibleError``, which the solvers raise on endpoints of unequal trace,
 lives here so that the CLI can catch it without loading them.  scipy loads
 on the first ``eig_unitary`` call only.  Matrices are plain ``numpy``
@@ -122,8 +125,9 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
-def _phase_fix(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+def phase_fix(V: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude entry is real positive,
+    which fixes a basis's column phases for reproducible output."""
     V = V.copy()
     for k in range(V.shape[1]):
         j = int(np.argmax(np.abs(V[:, k])))
@@ -156,7 +160,7 @@ def _eig2(A: np.ndarray) -> EigenDecomposition:
     v = c0 if np.linalg.norm(c0) >= np.linalg.norm(c1) else c1
     v = v / np.linalg.norm(v)
     w = np.array([-v[1].conjugate(), v[0].conjugate()])
-    V = _phase_fix(np.column_stack([w, v]))
+    V = phase_fix(np.column_stack([w, v]))
     return EigenDecomposition(np.array([lo, hi]), V)
 
 
@@ -179,7 +183,7 @@ def eig_hermitian(A: np.ndarray) -> EigenDecomposition:
     if n == 2:
         return _eig2(A)
     values, vectors = np.linalg.eigh(A)
-    return EigenDecomposition(values, _phase_fix(vectors))
+    return EigenDecomposition(values, phase_fix(vectors))
 
 
 def eig_skew(X: np.ndarray):
@@ -255,7 +259,7 @@ def eig_unitary(Q: np.ndarray) -> EigenDecomposition:
     T, W = schur(np.asarray(Q, dtype=complex), output="complex")
     phases = np.angle(np.diagonal(T))
     order = np.argsort(phases, kind="stable")
-    return EigenDecomposition(phases[order], _phase_fix(W[:, order]))
+    return EigenDecomposition(phases[order], phase_fix(W[:, order]))
 
 
 def logm_unitary(Q: np.ndarray) -> np.ndarray:
@@ -285,14 +289,39 @@ def degeneracy_groups(values: np.ndarray) -> np.ndarray:
     return labels
 
 
+def group_slices(labels: np.ndarray) -> list[np.ndarray]:
+    """Indices of each group of ``degeneracy_groups`` labels, in label order."""
+    return [np.flatnonzero(labels == g) for g in range(labels[-1] + 1)] if len(labels) else []
+
+
+def polar_gauge(G: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Unitary polar factors of G's diagonal blocks on the groups of
+    ``labels``: the gauge of a spectrum with these labels nearest to G.  A
+    vanishing 1 x 1 block gets phase 1."""
+    Theta = np.zeros_like(G)
+    for idx in group_slices(labels):
+        if len(idx) == 1:
+            a = G[idx[0], idx[0]]
+            Theta[idx[0], idx[0]] = a / abs(a) if abs(a) > 1e-12 else 1.0
+        else:
+            W, _, Vh = np.linalg.svd(G[np.ix_(idx, idx)])
+            Theta[np.ix_(idx, idx)] = W @ Vh
+    return Theta
+
+
 # --- coordinate basis: A = np.tensordot(v, basis, 1) and v = coords(A, basis) ---
 
 
-def skew_basis(n: int) -> np.ndarray:
-    """Orthogonal basis (n^2, n, n) of the skew-Hermitian matrices: i E_aa,
-    then E_ab - E_ba, then i(E_ab + E_ba), over a < b in row-major order."""
+def skew_basis(n: int, labels=None) -> np.ndarray:
+    """Orthogonal basis (m, n, n) of the skew-Hermitian matrices: i E_aa,
+    then E_ab - E_ba, then i(E_ab + E_ba), over a < b in row-major order.
+    Given ``degeneracy_groups`` labels, only the rows that commute with the
+    labelled spectrum are kept, in this order: its gauge's generators."""
     E = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
     iu, ju = np.triu_indices(n, k=1)
+    if labels is not None:
+        same = np.asarray(labels)[iu] == np.asarray(labels)[ju]
+        iu, ju = iu[same], ju[same]
     U, L = E[iu, ju], E[ju, iu]
     return np.concatenate([1j * E[np.arange(n), np.arange(n)], U - L, 1j * (U + L)])
 

@@ -7,6 +7,10 @@ minimizes the sum of Frobenius misfits at the sample times — a sum of
 norms, not squares, kept as is and smoothed only for the solver; a squared
 variant is available behind a flag.
 
+The first start's X sums the principal logs of the frame maps between
+consecutive samples, each aligned by ``polar_gauge``: a step that short
+stays on the principal branch, so a rotation past pi is not aliased.
+
 Each start is one L-BFGS-B solve (``scipy.optimize.minimize``) on the
 exact gradient of the smoothed objective, in coordinates x = (a, p, q, c)
 that turn every constraint into a bound: V = V_start e^{A(a)} and X = X(c)
@@ -28,11 +32,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (
-    _phase_fix,
     check_count,
     check_skew,
     coords,
     dagger,
+    degeneracy_groups,
     eig_hermitian,
     eig_skew,
     exp_i,
@@ -42,6 +46,8 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     logm_unitary,
+    phase_fix,
+    polar_gauge,
     skew_basis,
 )
 
@@ -181,21 +187,20 @@ def _strip_trace(X):
 
 
 def _initial_guess(ts, vals):
-    """Eigen-structure of the first/last samples seeds every start."""
-    p0, Vfirst = np.linalg.eigh(vals[0])
-    q, Vlast = np.linalg.eigh(vals[-1])
+    """(V0, p0, z0, X0) from one batched ``eigh`` of the samples: X0 is the
+    trace-free sum of the logs of the polar-aligned frame maps V_{i+1}
+    Theta_i V_i* over t_m - t_1, p0 and z0 the end spectra's."""
+    w, V = np.linalg.eigh(vals)
     span = ts[-1] - ts[0]
-    d = np.einsum("ki,ki->i", Vfirst.conj(), Vlast)
-    mag = np.abs(d)
-    phase = np.where(mag > 1e-12, d / np.maximum(mag, 1e-300), 1.0)
-    Q = (Vlast * np.conj(phase)[None, :]) @ Vfirst.conj().T
-    X0 = _strip_trace(logm_unitary(Q) / span)
-    z0 = (q - p0) / span
+    maps = [V[i + 1] @ polar_gauge(dagger(V[i + 1]) @ V[i], degeneracy_groups(w[i + 1]))
+            @ dagger(V[i]) for i in range(len(ts) - 1)]
+    X0 = _strip_trace(sum(logm_unitary(Q) for Q in maps) / span)
+    z0 = (w[-1] - w[0]) / span
     z0 = z0 - z0.mean()
     # back-rotate the first-sample frame to t = 0 so the model matches the
     # data near t_1 from the start
-    V0 = expm_skew(-X0 * ts[0]) @ Vfirst
-    return V0, np.maximum(p0, 0.0), z0, X0
+    V0 = expm_skew(-X0 * ts[0]) @ V[0]
+    return V0, np.maximum(w[0], 0.0), z0, X0
 
 
 def _unpack(x, V_start, S, ts):
@@ -254,13 +259,14 @@ def solve_regularization(
 ) -> RegularizedModel:
     """Fit the flow parameters to samples by multi-start L-BFGS-B.
 
-    The first start is the eigen-structure initial guess; each further
-    start perturbs it a little, more for later starts.  Each runs one
-    L-BFGS-B solve of at most ``max_iters`` iterations, which stops once an
-    iteration lowers the smoothed objective by less than 1e-8 relative to
-    max(1, objective) or the projected gradient vanishes.  The lowest
-    objective wins; the returned model's ``stalled`` and ``history`` are
-    those of the winning start.  The history opens with the solver's own
+    The first start is the eigen-structure initial guess, whose rotation
+    follows the frames from sample to sample (see the module docstring);
+    each further start perturbs it a little, more for later starts.  Each
+    runs one L-BFGS-B solve of at most ``max_iters`` iterations, which stops
+    once an iteration lowers the smoothed objective by less than 1e-8
+    relative to max(1, objective) or the projected gradient vanishes.  The
+    lowest objective wins; the returned model's ``stalled`` and ``history``
+    are those of the winning start.  The history opens with the solver's own
     first evaluation, at the start, so a start costs no evaluation beyond
     the solver's.
     """
@@ -312,7 +318,7 @@ def solve_regularization(
     # column phases of V are pure gauge (they commute with the diagonal
     # core), so fix them for reproducible output
     model = RegularizedModel(
-        V=_phase_fix(V), p=p, z=z, X=_strip_trace(X), objective=0.0,
+        V=phase_fix(V), p=p, z=z, X=_strip_trace(X), objective=0.0,
         stalled=stalled, history=tuple(history),
     )
     return replace(model, objective=residual(model, samples, squared=squared))

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .geodesic import _gauge_generators, solve_geodesic
+from .geodesic import solve_geodesic
 from .linalg import (
     along,
     check_count,
@@ -137,8 +137,8 @@ class _Engine:
         self.w = _WEIGHT
         self.SX = skew_basis(n)
         self.w0, self.U0 = base.spectrum, base.frame
-        # the in-group rotations of the gauge generators; column phases are pure gauge
-        self.SB = _gauge_generators(tuple(degeneracy_groups(self.w0).tolist()))[n:]
+        # the in-group rotations of rho0's gauge; column phases are pure gauge
+        self.SB = skew_basis(n, degeneracy_groups(self.w0))[n:]
 
     def start(self):
         """x of the geodesic's constant controls: with V_0 = U0 and d_k its

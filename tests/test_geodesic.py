@@ -23,7 +23,10 @@ from denflow.linalg import (
     eig_hermitian,
     expm_skew,
     frob_norm,
+    group_slices,
     hermitian_part,
+    polar_gauge,
+    skew_basis,
 )
 
 
@@ -374,7 +377,7 @@ def representative(perm, mu):
     degenerate group of mu, the members go to their positions in ascending
     order, which makes it the lexicographically first of the class."""
     rep = list(perm)
-    for g in geo._group_slices(degeneracy_groups(mu)):
+    for g in group_slices(degeneracy_groups(mu)):
         members = set(g.tolist())
         for i, j in zip([i for i, j in enumerate(perm) if j in members], g):
             rep[i] = int(j)
@@ -400,7 +403,7 @@ def full_array_bounds(lam, mu, U0, U1, eps):
     A = U1.conj().T @ U0
     inv = np.argsort(perms, axis=1)
     S = np.zeros(len(perms))
-    for g in geo._group_slices(degeneracy_groups(mu)):
+    for g in group_slices(degeneracy_groups(mu)):
         S += np.linalg.svd(A[g[None, :, None], inv[:, None, g]], compute_uv=False).sum(axis=-1)
     D = np.maximum(2 * n - 2 * S, 0.0)
     rot = 2 * np.sqrt(n) * np.arcsin(np.sqrt(D / n) / 2)
@@ -554,10 +557,9 @@ GENERATOR_LABELS = [(0, 1, 2), (0, 1, 1), (0, 0, 0)]
 
 
 def test_generators_are_the_gauge_coordinates():
-    gens = geo._gauge_generators((0, 1, 1))
+    gens = skew_basis(3, (0, 1, 1))
     assert len(gens) == 3 + 2  # three phases, one real and one imaginary rotation
-    assert not gens.flags.writeable
-    assert len(geo._gauge_generators((0, 0, 0))) == 3 + 2 * 3
+    assert len(skew_basis(3, (0, 0, 0))) == 3 + 2 * 3
     D = np.diag([0.1, 0.6, 0.6])  # a spectrum with these labels
     for S in gens:
         assert np.array_equal(S, -S.conj().T)
@@ -566,7 +568,7 @@ def test_generators_are_the_gauge_coordinates():
 
 @pytest.mark.parametrize("labels", GENERATOR_LABELS, ids=str)
 def test_rodrigues_pencil_is_the_exponential(labels):
-    for S in geo._gauge_generators(labels):
+    for S in skew_basis(len(labels), labels):
         assert np.abs(S @ S @ S + S).max() <= 1e-15
         steps = np.stack([np.eye(len(labels)), S, S @ S])
         for a in PENCIL_STEPS:
@@ -580,7 +582,7 @@ def test_rodrigues_pencil_is_the_exponential(labels):
 def test_line_function_is_the_log_norm_along_the_subgroup(labels):
     rng = np.random.default_rng(49)
     U0p, U1, Theta = (random_unitary(rng, 3) for _ in range(3))
-    for S in geo._gauge_generators(labels):
+    for S in skew_basis(len(labels), labels):
         steps = np.stack([Theta, Theta @ S, Theta @ S @ S])
         P = hermitian_part(U1 @ steps @ U0p.conj().T)
         for a in PENCIL_STEPS:
@@ -604,9 +606,8 @@ def test_gauge_search_line_search_scores_the_subgroup(monkeypatch):
 
     monkeypatch.setattr(geo, "golden", recording)
     geo._gauge_search(U0p, U1, spectrum)
-    groups = geo._group_slices(degeneracy_groups(spectrum))
-    Theta = geo._polar_init(U1.conj().T @ U0p, groups)
-    S = geo._gauge_generators((0, 0, 1))[0]
+    Theta = polar_gauge(U1.conj().T @ U0p, degeneracy_groups(spectrum))
+    S = skew_basis(3, (0, 0, 1))[0]
     for a, (got, shifted) in zip(steps, seen[0]):
         want = geo._log_norm(U1 @ Theta @ scipy.linalg.expm(a * S) @ U0p.conj().T)
         assert abs(got - want) <= 1e-12, a
@@ -629,7 +630,7 @@ def test_gauge_search_ends_at_a_stationary_point(kind, n, seed):
     w, V = np.linalg.eig(U1 @ Theta @ U0.conj().T)
     L = (V * (1j * np.angle(w))) @ np.linalg.inv(V)
     grad = [np.vdot(S, U0.conj().T @ L @ U0).real
-            for S in geo._gauge_generators(tuple(degeneracy_groups(mu).tolist()))]
+            for S in skew_basis(n, degeneracy_groups(mu))]
     assert np.abs(grad).max() <= 1e-6
 
 

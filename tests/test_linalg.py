@@ -6,6 +6,7 @@ from conftest import random_hermitian, random_skew, random_unitary
 from denflow.linalg import (
     along,
     commutator,
+    degeneracy_groups,
     eig_hermitian,
     eig_skew,
     expm_skew,
@@ -14,7 +15,9 @@ from denflow.linalg import (
     coords,
     eig_unitary,
     frob_norm,
+    group_slices,
     logm_unitary,
+    polar_gauge,
     skew_basis,
 )
 
@@ -324,3 +327,62 @@ def test_expm_skew_adjoint_matches_central_differences(kind):
     for X, Y, g in zip(Xs, Ys, G):
         fd = [(f(X + h * S, Y) - f(X - h * S, Y)) / (2 * h) for S in K]
         assert np.allclose(along(g, K), fd, rtol=1e-7, atol=1e-7 * np.abs(fd).max())
+
+
+# --- the gauge of a spectrum: unitaries that commute with it ----------------
+
+GAUGE_LABELS = [(0, 1, 2), (0, 1, 1), (0, 0, 0), (0, 0, 1, 2, 2)]
+
+
+def block_unitary(rng, labels):
+    """A random unitary that is block-diagonal on the groups of labels."""
+    n = len(labels)
+    U = np.zeros((n, n), dtype=complex)
+    for g in group_slices(np.asarray(labels)):
+        U[np.ix_(g, g)] = random_unitary(rng, len(g))
+    return U
+
+
+@pytest.mark.parametrize("labels", GAUGE_LABELS, ids=str)
+def test_gauge_basis_is_the_commuting_rows_of_the_skew_basis(labels):
+    n = len(labels)
+    D = np.diag(np.asarray(labels) + 1.0)  # a spectrum with these labels
+    assert degeneracy_groups(np.diag(D)).tolist() == list(labels)
+    full, gens = skew_basis(n), skew_basis(n, labels)
+    pairs = sum(labels[a] == labels[b] for a in range(n) for b in range(a + 1, n))
+    assert len(gens) == n + 2 * pairs
+    rows = [next(i for i, S in enumerate(full) if np.array_equal(S, G)) for G in gens]
+    assert rows == sorted(rows)  # in the skew basis's order, phases first
+    assert rows[:n] == list(range(n))
+    for G in gens:
+        assert np.array_equal(G @ D, D @ G)
+    # every row left out fails to commute
+    for i in set(range(n * n)) - set(rows):
+        assert not np.array_equal(full[i] @ D, D @ full[i])
+
+
+def test_gauge_basis_of_one_group_is_the_whole_basis():
+    for n in (1, 2, 4):
+        assert np.array_equal(skew_basis(n, np.zeros(n, dtype=int)), skew_basis(n))
+
+
+@pytest.mark.parametrize("labels", GAUGE_LABELS, ids=str)
+def test_polar_gauge_is_a_covariant_gauge(labels):
+    rng = np.random.default_rng(24)
+    n = len(labels)
+    D = np.diag(np.asarray(labels) + 1.0)
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    Theta = polar_gauge(G, np.asarray(labels))
+    assert np.abs(Theta.conj().T @ Theta - np.eye(n)).max() <= 1e-12
+    assert np.abs(Theta @ D - D @ Theta).max() == 0.0
+    # polar(Phi G Psi) = Phi polar(G) Psi for unitaries Phi, Psi of the gauge
+    for _ in range(3):
+        Phi, Psi = block_unitary(rng, labels), block_unitary(rng, labels)
+        got = polar_gauge(Phi @ G @ Psi, np.asarray(labels))
+        assert np.abs(got - Phi @ Theta @ Psi).max() <= 1e-12
+
+
+def test_polar_gauge_of_a_vanishing_phase_is_one():
+    G = np.array([[0.0, 1.0], [1.0, 2j]])
+    assert np.array_equal(polar_gauge(G, np.array([0, 1])), np.diag([1.0, 1j]))
+

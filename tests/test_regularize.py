@@ -309,8 +309,9 @@ class TestSolve:
         assert not m.stalled
 
     def test_reflection_alignment_starts_from_the_principal_log(self):
-        # real data whose first-to-last frame map is a reflection: it has an
-        # eigenphase of exactly pi, and its principal log seeds the fit
+        # real data whose first-to-last frame map is a reflection, with an
+        # eigenphase of exactly pi; the consecutive maps the start sums are
+        # small rotations, and their principal logs seed the fit
         rng = np.random.default_rng(23)
         A = rng.normal(size=(3, 3))
         B = rng.normal(size=(3, 3))
@@ -407,3 +408,42 @@ class TestSolve:
         ]
         with pytest.raises(ValueError):
             solve_regularization(data)
+
+
+# (n, rotation scale, seed), seeds fixed in advance: two fits per n and scale
+ORACLE_FITS = [(n, scale, 600 + 10 * n + 2 * j + k)
+               for n in (2, 3, 4) for j, scale in enumerate((0.5, 1.0, 2.0, 3.0)) for k in (0, 1)]
+
+
+def synthetic_fit(n, scale, seed, complex_noise=False):
+    """Samples and their generating model: 20 samples at t = k/20 with noise
+    0.03, a Haar frame, sorted Dirichlet spectra at both ends and a skew X
+    of the given scale, whose rotation over [0, 1] passes pi at scale 2-3."""
+    rng = np.random.default_rng(seed)
+    V = random_unitary(rng, n)
+    p = np.sort(rng.dirichlet(np.ones(n)))
+    z = np.sort(rng.dirichlet(np.ones(n))) - p
+    X = random_skew(rng, n, scale)
+    samples = synth_noisy_path((V * p) @ V.conj().T, X, z, TIMES, noise_amp=0.03, seed=seed,
+                               complex_noise=complex_noise)
+    return samples, RegularizedModel(V=V, p=p, z=z, X=X, objective=0.0)
+
+
+class TestStartOracles:
+    @pytest.mark.parametrize("fit", ORACLE_FITS, ids=lambda f: f"n{f[0]}-x{f[1]}-s{f[2]}")
+    def test_one_start_reaches_the_generating_residual(self, fit):
+        # the generating model is a feasible point, so a fit above its
+        # residual ended in a wrong basin; the start alone must avoid that,
+        # and the default's further starts can only lower the objective
+        samples, truth = synthetic_fit(*fit)
+        m = solve_regularization(samples, seeds=1)
+        assert m.objective <= residual(truth, samples) * (1 + 1e-6)
+
+    @pytest.mark.parametrize("n, seed", [(2, 640), (3, 641), (4, 642)])
+    def test_objective_is_invariant_under_unitary_conjugation(self, n, seed):
+        samples, _ = synthetic_fit(n, 1.5, seed, complex_noise=True)
+        Q = random_unitary(np.random.default_rng(seed + 1000), n)
+        turned = [MatrixSample(s.t, Q @ s.value @ Q.conj().T) for s in samples]
+        a = solve_regularization(samples, seeds=1).objective
+        b = solve_regularization(turned, seeds=1).objective
+        assert abs(a - b) <= 1e-6 * a
