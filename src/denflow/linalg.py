@@ -294,19 +294,24 @@ def group_slices(labels: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(labels == g) for g in range(labels[-1] + 1)] if len(labels) else []
 
 
-def polar_gauge(G: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Unitary polar factors of G's diagonal blocks on the groups of
-    ``labels``: the gauge of a spectrum with these labels nearest to G.  A
-    vanishing 1 x 1 block gets phase 1."""
-    Theta = np.zeros_like(G)
+def polar_gauge(G: np.ndarray, labels: np.ndarray, signs=None) -> np.ndarray:
+    """Unitary polar factors W Vh of G's diagonal blocks G_b = W Sigma Vh on
+    the groups of ``labels``: the gauge of a spectrum with these labels
+    nearest to G.  A vanishing 1 x 1 block gets phase 1.
+
+    Given ``signs`` (m, n), returns the m gauges W diag(s_b) Vh instead, s_b
+    the entries of a row on block b, in the order of its singular values:
+    sign flips of singular pairs, which move with the block's basis."""
+    s = np.ones((1, G.shape[-1])) if signs is None else np.asarray(signs, dtype=float)
+    Theta = np.zeros((len(s),) + G.shape, dtype=G.dtype)
     for idx in group_slices(labels):
         if len(idx) == 1:
             a = G[idx[0], idx[0]]
-            Theta[idx[0], idx[0]] = a / abs(a) if abs(a) > 1e-12 else 1.0
+            Theta[:, idx[0], idx[0]] = s[:, idx[0]] * (a / abs(a) if abs(a) > 1e-12 else 1.0)
         else:
             W, _, Vh = np.linalg.svd(G[np.ix_(idx, idx)])
-            Theta[np.ix_(idx, idx)] = W @ Vh
-    return Theta
+            Theta[:, idx[:, None], idx] = (W * s[:, None, idx]) @ Vh
+    return Theta[0] if signs is None else Theta
 
 
 # --- coordinate basis: A = np.tensordot(v, basis, 1) and v = coords(A, basis) ---

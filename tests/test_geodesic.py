@@ -25,6 +25,7 @@ from denflow.linalg import (
     frob_norm,
     group_slices,
     hermitian_part,
+    logm_unitary,
     polar_gauge,
     skew_basis,
 )
@@ -626,12 +627,18 @@ def test_gauge_search_ends_at_a_stationary_point(kind, n, seed):
     rho0, rho1 = unit_trace_pair(np.random.default_rng(seed), n, kind)
     _, U0 = eig_hermitian(rho0)
     mu, U1 = eig_hermitian(rho1)
-    _, Theta = geo._gauge_search(U0, U1, mu)
+    cost, Theta = geo._gauge_search(U0, U1, mu)
     w, V = np.linalg.eig(U1 @ Theta @ U0.conj().T)
     L = (V * (1j * np.angle(w))) @ np.linalg.inv(V)
-    grad = [np.vdot(S, U0.conj().T @ L @ U0).real
-            for S in skew_basis(n, degeneracy_groups(mu))]
-    assert np.abs(grad).max() <= 1e-6
+    labels = degeneracy_groups(mu)
+    grad = [np.vdot(S, U0.conj().T @ L @ U0).real for S in skew_basis(n, labels)]
+    # 8.3e-11 at most over these cases
+    assert np.abs(grad).max() <= 1e-9
+    # the loop stops on the gauge part of the package's log at the gauge it
+    # returns, and the cost is that log's norm
+    L = logm_unitary(U1 @ Theta @ U0.conj().T)
+    assert frob_norm((labels[:, None] == labels) * (U0.conj().T @ L @ U0)) < geo._GAUGE_TOL
+    assert abs(cost - frob_norm(L)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, seed, perm", [(4, 204, (0, 2, 1, 3)), (3, 205, (0, 2, 1)),
@@ -649,6 +656,25 @@ def test_gauge_search_cost_is_invariant_under_unitary_conjugation(n, seed, perm)
         mu, U1 = eig_hermitian(b)
         costs.append(geo._gauge_search(U0 @ P, U1, mu)[0])
     assert abs(costs[0] - costs[1]) <= 1e-12
+
+
+def test_degenerate_block_start_is_covariant():
+    # rho1 repeats one eigenvalue; the start flips singular pairs of the
+    # block, which move with its basis, so a Haar-conjugated frame reaches
+    # the real frame's cost.  A start that flips the block's columns depends
+    # on that basis: with it the two frames end 0.028 apart
+    rng = np.random.default_rng(502)
+    B = rng.normal(size=(4, 4))
+    w = rng.uniform(0.2, 1.0, 4)
+    w[:2] = w[0]
+    Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    rho0, rho1 = (B @ B.T).astype(complex), (Q @ np.diag(w) @ Q.T).astype(complex)
+    rho0, rho1 = rho0 / np.trace(rho0).real, rho1 / np.trace(rho1).real
+    V = random_unitary(np.random.default_rng(1502), 4)
+    real = solve_geodesic(rho0, rho1, 10.0).cost_total
+    conj = solve_geodesic(V @ rho0 @ V.conj().T, V @ rho1 @ V.conj().T, 10.0).cost_total
+    assert abs(real - conj) <= 1e-9
+    assert max(real, conj) <= 8.899557032548 + 1e-9
 
 
 def test_gauge_search_sweeps_once(monkeypatch):

@@ -382,6 +382,30 @@ def test_polar_gauge_is_a_covariant_gauge(labels):
         assert np.abs(got - Phi @ Theta @ Psi).max() <= 1e-12
 
 
+@pytest.mark.parametrize("labels", GAUGE_LABELS, ids=str)
+def test_signed_polar_gauges_flip_singular_pairs(labels):
+    rng = np.random.default_rng(25)
+    n = len(labels)
+    labels = np.asarray(labels)
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    signs = rng.choice([-1.0, 1.0], size=(4, n))
+    signs[0] = 1.0
+    Thetas = polar_gauge(G, labels, signs)
+    assert Thetas.shape == (4, n, n)
+    # all signs +1 is the polar factor, bit for bit
+    assert np.array_equal(Thetas[0], polar_gauge(G, labels))
+    for s, Theta in zip(signs, Thetas):
+        assert np.abs(Theta.conj().T @ Theta - np.eye(n)).max() <= 1e-12
+        for idx in group_slices(labels):
+            W, _, Vh = np.linalg.svd(G[np.ix_(idx, idx)])
+            assert np.abs(Theta[np.ix_(idx, idx)] - W @ np.diag(s[idx]) @ Vh).max() <= 1e-12
+    # the flips move with the block's basis: covariant like the polar factor
+    for _ in range(3):
+        Phi, Psi = block_unitary(rng, labels), block_unitary(rng, labels)
+        got = polar_gauge(Phi @ G @ Psi, labels, signs)
+        assert np.abs(got - Phi @ Thetas @ Psi).max() <= 1e-12
+
+
 def test_polar_gauge_of_a_vanishing_phase_is_one():
     G = np.array([[0.0, 1.0], [1.0, 2j]])
     assert np.array_equal(polar_gauge(G, np.array([0, 1])), np.diag([1.0, 1j]))
