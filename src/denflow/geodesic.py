@@ -28,7 +28,7 @@ exceeds the best cost found, so no skipped matching could have won.
 The gauge search starts from ``linalg.polar_gauge`` or its best flip of
 one or two singular-pair signs, sweeps once along one-parameter subgroups
 e^{aS} of the gauge group (Absil, Mahony & Sepulchre 2008, ch. 4) to pick
-the basin, then runs a fixed-point iteration to a stationary point.  Each
+the basin, then takes Newton steps to a stationary point.  Each
 generator S of ``linalg.skew_basis(n, labels)`` is a column phase i E_kk
 or, inside a degenerate group, a rotation E_kl - E_lk or i(E_kl + E_lk).
 All of them satisfy S^3 = -S, so e^{aS} = I + sin(a) S + (1 - cos a) S^2
@@ -36,12 +36,17 @@ All of them satisfy S^3 = -S, so e^{aS} = I + sin(a) S + (1 - cos a) S^2
 eigenvalues are the cosines of the rotation's phases, is a pencil H0 +
 sin(a) H1 + (1 - cos a) H2 fixed per coordinate.  Scoring a step then
 takes two scaled adds and one ``eigvalsh``, and ``golden`` refines it
-only coarsely.  The fixed point Theta <- Theta e^{-C}, C the part of
-U0'* log(U1 Theta U0'*) U0' inside the degenerate groups, is the
-horizontal-lift iteration for Riemannian logarithms on Stiefel and flag
-manifolds (Zimmermann 2017, SIAM J. Matrix Anal. Appl. 38(2)): C is the
-Riemannian gradient of 1/2 ||log Q||_F^2 on the gauge group (Absil et
-al. 2008, sec. 3.6), and the cost is the norm of a Schur log.
+only coarsely.  The gradient of 1/2 ||log Q||_F^2 on the gauge group
+(Absil et al. 2008, sec. 3.6) has the coordinates Re<S, L>, L the log
+of Q = U1 Theta U0'* in U0''s basis, and their Jacobian is the Frechet
+derivative of the log in the Schur basis that L is read from
+(Daleckii-Krein; Higham 2008, Functions of Matrices, sec. 3.2 and ch.
+11).  Riemannian Newton (Absil et al. 2008, ch. 6) on it converges
+quadratically.  Where the curvature is not positive, the step is the
+fixed point Theta <- Theta e^{-C}, C the part of L inside the degenerate
+groups: the horizontal-lift iteration for Riemannian logarithms on
+Stiefel and flag manifolds (Zimmermann 2017, SIAM J. Matrix Anal. Appl.
+38(2)).  The cost is the norm of a Schur log.
 """
 
 from __future__ import annotations
@@ -56,9 +61,11 @@ from scipy.optimize import golden, linear_sum_assignment
 
 from .linalg import (
     InfeasibleError,
+    along,
     dagger,
     degeneracy_groups,
     eig_hermitian,
+    eig_unitary,
     expm_skew,
     expm_skew_times,
     frob_norm,
@@ -135,8 +142,9 @@ def _log_norm(Q: np.ndarray):
 _GRID = np.linspace(-np.pi, np.pi, 25)
 # the sweep only picks the basin, so golden stops coarse (see _gauge_search)
 _GOLDEN_TOL = 1e-3
-# fixed-point stop on the gauge gradient's norm, and a cap on its steps; the
-# benchmark inputs take a median of 10 steps and at most 178
+# stop on the gauge gradient's norm, and a cap on the steps; the benchmark
+# inputs take a median of 2 Newton steps and at most 16 (the fixed point
+# alone took a median of 10 and at most 178)
 _GAUGE_TOL = 1e-10
 _GAUGE_STEPS = 1000
 
@@ -145,6 +153,24 @@ def _pencil(P: np.ndarray, a) -> np.ndarray:
     """P[0] + sin(a) P[1] + (1 - cos a) P[2] at a step a, or at each of an
     array of steps: Theta e^{aS} for P = (Theta, Theta S, Theta S^2)."""
     return P[0] + np.multiply.outer(np.sin(a), P[1]) + np.multiply.outer(1.0 - np.cos(a), P[2])
+
+
+def _gauge_jacobian(phases: np.ndarray, W: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Jac[b, a] = d g_b / d v_a at v = 0, for the gauge gradient g(v) =
+    ``along``(log(Q e^V), gens), V = sum_a v_a S_a, at a unitary Q = W
+    diag(e^{i phases}) W*.
+
+    Daleckii-Krein (Higham 2008, Functions of Matrices, sec. 3.2 and ch.
+    11): the derivative of the log at Q along Q V is W (Psi o W* V W) W*,
+    Psi the divided differences of the log at the eigenvalues times e^{i
+    phi_j}, in the half-angle form e^{i delta/2} / sinc(delta / 2 pi) with
+    delta = phi_j - phi_k, which is 1 where phases coincide.  Jac is not
+    symmetric inside a degenerate block.
+    """
+    d = phases[:, None] - phases
+    psi = np.exp(0.5j * d) / np.sinc(d / (2 * np.pi))
+    Sw = dagger(W) @ gens @ W
+    return along(Sw, psi * Sw)
 
 
 def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tuple[float, np.ndarray]:
@@ -164,18 +190,28 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     U0p*) is formed once; a grid over [-pi, pi] brackets the best step and
     ``golden`` refines it one period (2 pi) up, where its relative stop
     |x3 - x0| <= tol (|x1| + |x2|) closes within about 1e-2 rad: the sweep
-    only picks the basin.  The fixed point (Zimmermann 2017) does the rest.
-    It iterates Theta <- Theta e^{-C}, C = P(U0p* L U0p) with L =
-    ``logm_unitary``(U1 Theta U0p*) and P keeping the entries inside the
-    degenerate groups: the Riemannian gradient of 1/2 ||L||_F^2 on the
-    gauge group.  Where the step commutes with L, one step is exact.  It
+    only picks the basin.  Newton's method on the gauge gradient does the
+    rest (Absil, Mahony & Sepulchre 2008, ch. 6).  Each step reads the
+    eigenpairs (phi, W) of K Theta, K = U0p* U1, so that L = W diag(i phi)
+    W* is log(U1 Theta U0p*) in U0p's basis and g = ``along``(L, gens) is
+    the gradient of 1/2 ||L||_F^2 along the generators, and solves Jac v =
+    -g with Jac from ``_gauge_jacobian``: Theta <- Theta e^{sum_a v_a S_a}.
+    Jac + Jac^T is the curvature along one-parameter subgroups.  Where it
+    is not positive definite, Newton's step can head for a saddle or a
+    maximum, so the step is the fixed point's -C, C = P(L) with P keeping
+    the entries inside the degenerate groups (Zimmermann 2017): the
+    gradient step.  A step that raises the cost by more than ``_TIE`` is
+    halved until it does not.  Unguarded, Newton's step ended at a higher
+    stationary point than the fixed point in 50 of 3420 matchings of
+    seeded pairs at n = 3, 4, by up to 1.17.  The loop
     stops once ||C||_F < ``_GAUGE_TOL``, or after ``_GAUGE_STEPS`` steps,
-    and the cost is ||L||_F at the returned gauge: a Schur log, without the
-    arccos noise of the sweep's score.
+    and the cost is ||L||_F = ||phi|| at the returned gauge: a Schur log,
+    without the arccos noise of the sweep's score.
     """
     n = U0p.shape[0]
     U0pH = U0p.conj().T
     labels = degeneracy_groups(spectrum)
+    gens = skew_basis(n, labels)
 
     # the polar factor first, then each flip of singular pairs k <= l (one if k = l)
     k, l = np.triu_indices(n)
@@ -188,7 +224,7 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     Theta, cur = cands[j], float(costs[j])
 
     h = _GRID[1] - _GRID[0]
-    for S in skew_basis(n, labels):
+    for S in gens:
         steps = np.stack([Theta, Theta @ S, Theta @ S @ S])
         P = hermitian_part(U1 @ steps @ U0pH)
         vals = _phase_norm(_pencil(P, _GRID))
@@ -206,15 +242,28 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
             Theta = _pencil(steps, xmin)
             cur = float(fmin)
 
+    K = U0pH @ U1
     inside = labels[:, None] == labels
-    L = logm_unitary(U1 @ Theta @ U0pH)
+    phases, W = eig_unitary(K @ Theta)
     for _ in range(_GAUGE_STEPS):
-        C = inside * (U0pH @ L @ U0p)
-        if frob_norm(C) < _GAUGE_TOL:
+        L = (W * (1j * phases)) @ dagger(W)
+        if frob_norm(inside * L) < _GAUGE_TOL:
             break
-        Theta = Theta @ expm_skew(-C)
-        L = logm_unitary(U1 @ Theta @ U0pH)
-    return frob_norm(L), Theta
+        Jac = _gauge_jacobian(phases, W, gens)
+        try:
+            np.linalg.cholesky(Jac + Jac.T)  # positive curvature: Newton's step
+            step = np.tensordot(np.linalg.solve(Jac, -along(L, gens)), gens, 1)
+        except np.linalg.LinAlgError:  # otherwise the fixed-point step
+            step = -(inside * L)
+        cost = np.linalg.norm(phases)
+        while True:  # halved until the cost does not rise
+            trial = Theta @ expm_skew(step)
+            phases, W = eig_unitary(K @ trial)
+            if np.linalg.norm(phases) <= cost + _TIE:
+                break
+            step = step / 2
+        Theta = trial
+    return float(np.linalg.norm(phases)), Theta
 
 
 def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> np.ndarray:

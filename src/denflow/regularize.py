@@ -145,8 +145,9 @@ def synth_noisy_path(
     ascending eigenvalues of rho0 (Z is diagonal in rho0's eigenbasis).
     Entries of the noise are independent uniform in [-noise_amp,
     noise_amp]; off-diagonal imaginary parts are drawn only when
-    complex_noise is set.  A fixed seed reproduces the
-    dataset exactly.
+    complex_noise is set.  Times must be finite and strictly increasing, as
+    the regularizer reads them, and the seed a nonnegative integer.  A
+    fixed seed reproduces the dataset exactly.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     z = np.asarray(z, dtype=float)
@@ -154,6 +155,9 @@ def synth_noisy_path(
     ts = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValueError("sample times must be finite")
+    if np.any(np.diff(ts) <= 0.0):
+        raise ValueError("sample times must be strictly increasing")
+    seed = check_count("seed", seed, 0)
     if not (np.isfinite(noise_amp) and noise_amp >= 0):
         raise ValueError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
     if z.shape != (n,) or not np.all(np.isfinite(z)):

@@ -608,6 +608,18 @@ class TestSynthAndRegularize:
         assert self.synth(sdocs, sdocs / "a", times=times) == 3
         assert not (sdocs / "a" / "dataset.json").exists()
 
+    @pytest.mark.parametrize("times", ["0,1,0.5", "0,0,0"])
+    def test_synth_times_not_strictly_increasing_exits_3(self, sdocs, times, capsys):
+        # regularize refuses such a dataset, so synth does not write it
+        assert self.synth(sdocs, sdocs / "a", times=times) == 3
+        assert not (sdocs / "a" / "dataset.json").exists()
+        assert "strictly increasing" in capsys.readouterr().err
+
+    def test_synth_negative_seed_exits_3(self, sdocs, capsys):
+        assert self.synth(sdocs, sdocs / "a", seed=-1) == 3
+        assert not (sdocs / "a" / "dataset.json").exists()
+        assert "seed must be at least 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("z", ["--z=nan,0", "--z=inf,-inf", "--z=0,0,0"])
     def test_synth_bad_z_exits_3(self, sdocs, z):
         assert self.synth(sdocs, sdocs / "a", z=(z,)) == 3

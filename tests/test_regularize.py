@@ -100,6 +100,19 @@ class TestSynth:
         with pytest.raises(ValueError, match="drift rates"):
             synth_noisy_path(RHO0, XTRUE, z, TIMES[:4])
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]], ids=["unordered", "repeated"])
+    def test_times_not_strictly_increasing_rejected(self, times):
+        # the regularizer refuses such a dataset with the same message
+        with pytest.raises(ValueError, match="strictly increasing"):
+            synth_noisy_path(RHO0, XTRUE, np.zeros(2), times)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            solve_regularization([MatrixSample(t, RHO0) for t in times])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES[:4], seed=seed)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_non_skew_generator_rejected(self, n):
         X = np.zeros((n, n), dtype=complex)
