@@ -25,10 +25,11 @@ matchings that differ only inside a degenerate group of rho1's spectrum
 (they share bound and cost), and gauge-searched in turn until a bound
 exceeds the best cost found, so no skipped matching could have won.
 
-The gauge search starts from ``linalg.polar_gauge`` or its best flip of
-one or two singular-pair signs, sweeps once along one-parameter subgroups
-e^{aS} of the gauge group (Absil, Mahony & Sepulchre 2008, ch. 4) to pick
-the basin, then takes Newton steps to a stationary point.  Each
+The gauge search, ``minimal_rotation``, starts from ``linalg.polar_gauge``
+or its best flip of one or two singular-pair signs, sweeps once along
+one-parameter subgroups e^{aS} of the gauge group (Absil, Mahony &
+Sepulchre 2008, ch. 4) to pick the basin, then takes Newton steps to a
+stationary point.  Each
 generator S of ``linalg.skew_basis(n, labels)`` is a column phase i E_kk
 or, inside a degenerate group, a rotation E_kl - E_lk or i(E_kl + E_lk).
 All of them satisfy S^3 = -S, so e^{aS} = I + sin(a) S + (1 - cos a) S^2
@@ -46,7 +47,9 @@ quadratically.  Where the curvature is not positive, the step is the
 fixed point Theta <- Theta e^{-C}, C the part of L inside the degenerate
 groups: the horizontal-lift iteration for Riemannian logarithms on
 Stiefel and flag manifolds (Zimmermann 2017, SIAM J. Matrix Anal. Appl.
-38(2)).  The cost is the norm of a Schur log.
+38(2)).  It returns X, the log read from its last step's Schur form,
+whose norm is the matching's rotation cost; the winning matching's X is
+the solution's, with no second decomposition.
 """
 
 from __future__ import annotations
@@ -72,9 +75,9 @@ from .linalg import (
     group_slices,
     hermitian_part,
     is_hermitian,
-    logm_unitary,
     polar_gauge,
     skew_basis,
+    skew_part,
 )
 
 _TIE = 1e-12
@@ -140,7 +143,7 @@ def _log_norm(Q: np.ndarray):
 
 
 _GRID = np.linspace(-np.pi, np.pi, 25)
-# the sweep only picks the basin, so golden stops coarse (see _gauge_search)
+# the sweep only picks the basin, so golden stops coarse (see minimal_rotation)
 _GOLDEN_TOL = 1e-3
 # stop on the gauge gradient's norm, and a cap on the steps; the benchmark
 # inputs take a median of 2 Newton steps and at most 16 (the fixed point
@@ -173,9 +176,14 @@ def _gauge_jacobian(phases: np.ndarray, W: np.ndarray, gens: np.ndarray) -> np.n
     return along(Sw, psi * Sw)
 
 
-def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimize ||log(U1 Theta U0p*)||_F over gauges Theta commuting with
-    diag(spectrum).  Returns (cost, Theta).
+def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Smallest-norm X with e^X mapping the frame U0p onto U1 up to gauge:
+    X = log(U1 Theta U0p*) at the gauge Theta, commuting with
+    diag(spectrum), that minimizes ||log(U1 Theta U0p*)||_F.
+
+    Columns of U0p and U1 must pair identical ``spectrum`` entries.  The
+    gauge group is the one ``linalg`` decides for the spectrum: column
+    phases, and full blocks on repeated entries.
 
     The start is the blockwise polar factor W Vh of U1* U0p, G_b = W Sigma
     Vh per block, or, if one scores lower by more than ``_TIE``, the best
@@ -204,9 +212,10 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
     halved until it does not.  Unguarded, Newton's step ended at a higher
     stationary point than the fixed point in 50 of 3420 matchings of
     seeded pairs at n = 3, 4, by up to 1.17.  The loop
-    stops once ||C||_F < ``_GAUGE_TOL``, or after ``_GAUGE_STEPS`` steps,
-    and the cost is ||L||_F = ||phi|| at the returned gauge: a Schur log,
-    without the arccos noise of the sweep's score.
+    stops once ||C||_F < ``_GAUGE_TOL``, or after ``_GAUGE_STEPS`` steps.
+    X is U0p L U0p* from the last step's Schur pair, the principal
+    logarithm that every unitary has, so ||X||_F = ||phi|| is free of the
+    arccos noise of the sweep's score.
     """
     n = U0p.shape[0]
     U0pH = U0p.conj().T
@@ -263,20 +272,8 @@ def _gauge_search(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> tupl
                 break
             step = step / 2
         Theta = trial
-    return float(np.linalg.norm(phases)), Theta
-
-
-def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Smallest-norm X with e^X mapping the frame U0p onto U1 up to gauge.
-
-    Columns of U0p and U1 must pair identical ``spectrum`` entries.  The
-    residual freedom, the gauge of the spectrum that ``linalg`` decides
-    (column phases and full blocks on repeated entries), is searched to
-    minimize the log norm (see ``_gauge_search``).  X is the principal
-    logarithm of the aligned frame map, which every unitary has.
-    """
-    _, Theta = _gauge_search(U0p, U1, spectrum)
-    return logm_unitary(U1 @ Theta @ U0p.conj().T)
+    V = U0p @ W  # U0p L U0p* = V diag(i phi) V*
+    return skew_part((V * (1j * phases)) @ dagger(V))
 
 
 def _matchings(lam, mu, U0, U1, epsilon):
@@ -376,7 +373,6 @@ def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> Geodes
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
 
-    n = rho0.shape[0]
     lam, U0 = eig_hermitian(rho0)
     mu, U1 = eig_hermitian(rho1)
     for name, rho, w in (("rho0", rho0, lam), ("rho1", rho1, mu)):
@@ -387,11 +383,9 @@ def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> Geodes
     def search(perm):
         z = mu[list(perm)] - lam
         znorm = float(np.linalg.norm(z))
-        P = np.zeros((n, n))
-        P[np.arange(n), perm] = 1.0
-        U0p = U0 @ P
-        gcost, Theta = _gauge_search(U0p, U1, mu)
-        return gcost + epsilon * znorm, znorm, perm, z, U0p, Theta
+        # column perm[i] of the matched frame is column i of U0
+        X = minimal_rotation(U0[:, np.argsort(perm)], U1, mu)
+        return frob_norm(X) + epsilon * znorm, znorm, perm, z, X
 
     searched, incumbent = [], np.inf
     for bound, perm in _matchings(lam, mu, U0, U1, epsilon):
@@ -400,7 +394,7 @@ def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> Geodes
         searched.append(search(perm))
         incumbent = min(incumbent, searched[-1][0])
 
-    best = None  # (total, znorm, perm, z, U0p, Theta)
+    best = None  # (total, znorm, perm, z, X)
     # in enumeration (lexicographic) order, as the tie rule reads
     for cand in sorted(searched, key=lambda cand: cand[2]):
         total, znorm = cand[:2]
@@ -409,8 +403,7 @@ def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> Geodes
         ):
             best = cand
 
-    _, _, perm, z, U0p, Theta = best
-    X = logm_unitary(U1 @ Theta @ U0p.conj().T)
+    _, _, perm, z, X = best
     Z = hermitian_part(U0 @ (z[:, None] * U0.conj().T))
     costs = path_cost(X, Z, epsilon)
     return GeodesicSolution(

@@ -12,8 +12,9 @@ from ``eig_skew``, so a caller that keeps them decomposes each X once.  The
 principal logarithm of unitary matrices, commutators, the Frobenius (trace)
 inner product and a coordinate basis of the skew-Hermitian matrices complete
 the set.  The unitary eigendecomposition behind the logarithm is read off
-a complex Schur form.  Every unitary has a principal logarithm, its
-eigenphases taken in (-pi, pi], so the logarithm refuses no input.
+a complex Schur form, its columns in LAPACK's phases.  Every unitary has a
+principal logarithm, its eigenphases taken in (-pi, pi], so the logarithm
+refuses no input.
 ``degeneracy_groups`` holds the one rule for which eigenvalues count as
 degenerate, and the gauge of the spectrum it labels is decided here:
 ``skew_basis(n, labels)`` generates it, ``polar_gauge`` is its member
@@ -252,14 +253,15 @@ def eig_unitary(Q: np.ndarray) -> EigenDecomposition:
     The complex Schur form of a normal matrix is diagonal, so its Schur
     vectors are orthonormal eigenvectors even where eigenphases cluster
     (Higham 2008, Functions of Matrices, sec. 11), and the phases are the
-    angles of its diagonal.
+    angles of its diagonal.  The columns keep the phases LAPACK gives them:
+    its callers read only W f(phases) W*, which those phases do not change.
     """
     from scipy.linalg import schur
 
     T, W = schur(np.asarray(Q, dtype=complex), output="complex")
     phases = np.angle(np.diagonal(T))
     order = np.argsort(phases, kind="stable")
-    return EigenDecomposition(phases[order], phase_fix(W[:, order]))
+    return EigenDecomposition(phases[order], W[:, order])
 
 
 def logm_unitary(Q: np.ndarray) -> np.ndarray:

@@ -84,16 +84,22 @@ class RegularizedModel:
         return hermitian_part((self.V * self.p[None, :]) @ self.V.conj().T)
 
 
-def _check_samples(samples, minimum: int = 1):
-    if len(samples) < minimum:
-        raise ValueError(f"need at least {minimum} sample(s), got {len(samples)}")
-    ts = np.array([s.t for s in samples], dtype=float)
+def _check_times(times) -> np.ndarray:
+    """Sample times as floats, finite, in [0, 1] and strictly increasing."""
+    ts = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValueError("sample times must be finite")
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise ValueError("sample times must lie in [0, 1]")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
+    return ts
+
+
+def _check_samples(samples, minimum: int = 1):
+    if len(samples) < minimum:
+        raise ValueError(f"need at least {minimum} sample(s), got {len(samples)}")
+    ts = _check_times([s.t for s in samples])
     vals = [np.asarray(s.value, dtype=complex) for s in samples]
     for s, v in zip(samples, vals):
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -145,18 +151,14 @@ def synth_noisy_path(
     ascending eigenvalues of rho0 (Z is diagonal in rho0's eigenbasis).
     Entries of the noise are independent uniform in [-noise_amp,
     noise_amp]; off-diagonal imaginary parts are drawn only when
-    complex_noise is set.  Times must be finite and strictly increasing, as
-    the regularizer reads them, and the seed a nonnegative integer.  A
-    fixed seed reproduces the dataset exactly.
+    complex_noise is set.  Times must be finite, in [0, 1] and strictly
+    increasing, as the regularizer reads them, and the seed a nonnegative
+    integer.  A fixed seed reproduces the dataset exactly.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     z = np.asarray(z, dtype=float)
     n = rho0.shape[0]
-    ts = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("sample times must be finite")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("sample times must be strictly increasing")
+    ts = _check_times(times)
     seed = check_count("seed", seed, 0)
     if not (np.isfinite(noise_amp) and noise_amp >= 0):
         raise ValueError(f"noise_amp must be finite and nonnegative, got {noise_amp}")

@@ -230,8 +230,8 @@ def solve_discrete_path(
     rho0 = np.asarray(rho0, dtype=complex)
     rho1 = np.asarray(rho1, dtype=complex)
     N = check_count("steps", steps, 2)
-    if not tol_end >= 0.0:
-        raise ValueError(f"tol_end must be nonnegative, got {tol_end}")
+    if not (np.isfinite(tol_end) and tol_end >= 0.0):
+        raise ValueError(f"tol_end must be finite and nonnegative, got {tol_end}")
     max_rounds = check_count("max_rounds", max_rounds, 1)
     max_iters = check_count("max_iters", max_iters, 0)
 

@@ -488,7 +488,7 @@ class TestPath:
         assert code == 3
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tolerance_exits_3(self, docs, tol):
         out = docs / "run"
         code = main([
@@ -614,6 +614,12 @@ class TestSynthAndRegularize:
         assert self.synth(sdocs, sdocs / "a", times=times) == 3
         assert not (sdocs / "a" / "dataset.json").exists()
         assert "strictly increasing" in capsys.readouterr().err
+
+    def test_synth_times_past_one_exits_3(self, sdocs, capsys):
+        # regularize refuses a time outside [0, 1], so synth does not write it
+        assert self.synth(sdocs, sdocs / "a", times="0:0.5:2") == 3
+        assert not (sdocs / "a" / "dataset.json").exists()
+        assert "sample times must lie in [0, 1]" in capsys.readouterr().err
 
     def test_synth_negative_seed_exits_3(self, sdocs, capsys):
         assert self.synth(sdocs, sdocs / "a", seed=-1) == 3

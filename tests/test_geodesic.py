@@ -346,9 +346,7 @@ def exhaustive(request):
     mu, U1 = eig_hermitian(rho1)
     rows = []
     for perm in itertools.permutations(range(n)):
-        P = np.zeros((n, n))
-        P[np.arange(n), perm] = 1.0
-        gcost, _ = geo._gauge_search(U0 @ P, U1, mu)
+        gcost = frob_norm(minimal_rotation(U0[:, np.argsort(perm)], U1, mu))
         rows.append((perm, gcost, float(np.linalg.norm(mu[list(perm)] - lam))))
     return rho0, rho1, rows
 
@@ -460,13 +458,13 @@ def test_bound_prunes_most_matchings_at_n6(monkeypatch):
     rng = np.random.default_rng(1)
     rho0, rho1 = unit_trace_pair(rng, 6, "complex")
     calls = []
-    search = geo._gauge_search
+    search = geo.minimal_rotation
 
     def counting(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(geo, "_gauge_search", counting)
+    monkeypatch.setattr(geo, "minimal_rotation", counting)
     solve_geodesic(rho0, rho1, 1.0)
     assert 1 <= len(calls) <= 72  # of 720 matchings
 
@@ -476,13 +474,13 @@ def test_a_degenerate_group_costs_one_gauge_search(monkeypatch):
     # class, searched once
     rho0, rho1 = unit_trace_pair(np.random.default_rng(90), 4, "triple")
     calls = []
-    search = geo._gauge_search
+    search = geo.minimal_rotation
 
     def counting(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(geo, "_gauge_search", counting)
+    monkeypatch.setattr(geo, "minimal_rotation", counting)
     solve_geodesic(rho0, rho1, 1.0)
     assert len(calls) == 1
 
@@ -608,7 +606,7 @@ def test_gauge_search_line_search_scores_the_subgroup(monkeypatch):
         return golden(func, **kwargs)
 
     monkeypatch.setattr(geo, "golden", recording)
-    geo._gauge_search(U0p, U1, spectrum)
+    minimal_rotation(U0p, U1, spectrum)
     Theta = polar_gauge(U1.conj().T @ U0p, degeneracy_groups(spectrum))
     S = skew_basis(3, (0, 0, 1))[0]
     for a, (got, shifted) in zip(steps, seen[0]):
@@ -629,18 +627,30 @@ def test_gauge_search_ends_at_a_stationary_point(kind, n, seed):
     rho0, rho1 = unit_trace_pair(np.random.default_rng(seed), n, kind)
     _, U0 = eig_hermitian(rho0)
     mu, U1 = eig_hermitian(rho1)
-    cost, Theta = geo._gauge_search(U0, U1, mu)
-    w, V = np.linalg.eig(U1 @ Theta @ U0.conj().T)
+    X = minimal_rotation(U0, U1, mu)
+    Q = scipy.linalg.expm(X)
+    w, V = np.linalg.eig(Q)
     L = (V * (1j * np.angle(w))) @ np.linalg.inv(V)
     labels = degeneracy_groups(mu)
     grad = [np.vdot(S, U0.conj().T @ L @ U0).real for S in skew_basis(n, labels)]
-    # 8.3e-11 at most over these cases
+    # 3.9e-11 at most over these cases
     assert np.abs(grad).max() <= 1e-9
-    # the loop stops on the gauge part of the package's log at the gauge it
-    # returns, and the cost is that log's norm
-    L = logm_unitary(U1 @ Theta @ U0.conj().T)
-    assert frob_norm((labels[:, None] == labels) * (U0.conj().T @ L @ U0)) < geo._GAUGE_TOL
-    assert abs(cost - frob_norm(L)) <= 1e-12
+    # the loop stops on the gauge part of the log it returns
+    assert frob_norm((labels[:, None] == labels) * (U0.conj().T @ X @ U0)) < geo._GAUGE_TOL
+    # and e^X maps the frame onto U1 up to gauge: e^X U0 = U1 Theta with
+    # Theta commuting with diag(mu)
+    Theta = U1.conj().T @ Q @ U0
+    assert frob_norm(commutator(Theta, np.diag(mu))) <= 1e-10
+
+
+@pytest.mark.parametrize("kind, n, seed", [("complex", 4, 1), ("real", 4, 2), ("block", 4, 3),
+                                           ("triple", 5, 4)])
+def test_solution_rotation_is_the_minimal_rotation_of_its_matching(kind, n, seed):
+    rho0, rho1 = unit_trace_pair(np.random.default_rng(seed), n, kind)
+    sol = solve_geodesic(rho0, rho1, 1.0)
+    mu, U1 = eig_hermitian(rho1)
+    X = minimal_rotation(sol.frame[:, np.argsort(sol.permutation)], U1, mu)
+    assert np.array_equal(sol.X, X)
 
 
 @pytest.mark.parametrize("n, seed, perm", [(4, 204, (0, 2, 1, 3)), (3, 205, (0, 2, 1)),
@@ -656,7 +666,7 @@ def test_gauge_search_cost_is_invariant_under_unitary_conjugation(n, seed, perm)
     for a, b in ((rho0, rho1), (V @ rho0 @ V.conj().T, V @ rho1 @ V.conj().T)):
         _, U0 = eig_hermitian(a)
         mu, U1 = eig_hermitian(b)
-        costs.append(geo._gauge_search(U0 @ P, U1, mu)[0])
+        costs.append(frob_norm(minimal_rotation(U0 @ P, U1, mu)))
     assert abs(costs[0] - costs[1]) <= 1e-12
 
 
@@ -691,7 +701,7 @@ def test_gauge_search_sweeps_once(monkeypatch):
         return golden(func, **kwargs)
 
     monkeypatch.setattr(geo, "golden", counting)
-    geo._gauge_search(U0, U1, mu)
+    minimal_rotation(U0, U1, mu)
     assert len(calls) == 3
 
 
@@ -728,8 +738,8 @@ def test_gauge_search_keeps_the_fixed_point_minimum(seed, perm, want):
     rho0, rho1 = unit_trace_pair(np.random.default_rng(seed), n, "complex")
     _, U0 = eig_hermitian(rho0)
     mu, U1 = eig_hermitian(rho1)
-    cost, _ = geo._gauge_search(U0 @ np.eye(n)[list(perm)], U1, mu)
-    assert abs(cost - want) <= 1e-12
+    X = minimal_rotation(U0 @ np.eye(n)[list(perm)], U1, mu)
+    assert abs(frob_norm(X) - want) <= 1e-12
 
 
 def test_newton_guard_keeps_the_matching():
@@ -746,7 +756,7 @@ def test_gauge_search_converges_in_few_steps(monkeypatch, n):
     # alone takes a median of 10 steps on such pairs.  A step is one
     # eig_unitary of a trial gauge after the start's
     steps = []
-    search, eig = geo._gauge_search, geo.eig_unitary
+    search, eig = geo.minimal_rotation, geo.eig_unitary
 
     def counting_search(*args):
         steps.append(-1)
@@ -756,7 +766,7 @@ def test_gauge_search_converges_in_few_steps(monkeypatch, n):
         steps[-1] += 1
         return eig(Q)
 
-    monkeypatch.setattr(geo, "_gauge_search", counting_search)
+    monkeypatch.setattr(geo, "minimal_rotation", counting_search)
     monkeypatch.setattr(geo, "eig_unitary", counting_eig)
     for seed in range(1, 6):
         solve_geodesic(*unit_trace_pair(np.random.default_rng(seed), n, "complex"), 0.1)

@@ -108,6 +108,15 @@ class TestSynth:
         with pytest.raises(ValueError, match="strictly increasing"):
             solve_regularization([MatrixSample(t, RHO0) for t in times])
 
+    @pytest.mark.parametrize("t", [1.5, -0.1])
+    def test_times_outside_the_unit_interval_rejected(self, t):
+        # the regularizer refuses such a dataset with the same message
+        times = sorted([0.0, 0.5, t])
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            synth_noisy_path(RHO0, XTRUE, np.zeros(2), times)
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            solve_regularization([MatrixSample(t, RHO0) for t in times])
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):

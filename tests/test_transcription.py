@@ -298,6 +298,7 @@ class TestSolver:
 
     @pytest.mark.parametrize("kw", [dict(max_rounds=0), dict(max_rounds=-1), dict(max_iters=-1),
                                     dict(tol_end=np.nan), dict(tol_end=-1.0),
+                                    dict(tol_end=np.inf),
                                     dict(steps=2.7), dict(max_iters=2.5), dict(max_rounds=1.5),
                                     dict(max_iters=np.nan), dict(steps=None),
                                     dict(max_iters=True)])
