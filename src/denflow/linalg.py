@@ -8,13 +8,15 @@ over many times, the Hermitian/skew parts and the degeneracy grouping of
 eigenvalues accept single matrices and ``(..., n, n)`` stacks alike.  The
 exponential and its adjoint (the gradient through the derivative of e^{Xt},
 summed over times, for each X of a stack) both read the eigenpairs of -iX
-from ``eig_skew``, so a caller that keeps them decomposes each X once.  The
-principal logarithm of unitary matrices, commutators, the Frobenius (trace)
-inner product and a coordinate basis of the skew-Hermitian matrices complete
-the set.  The unitary eigendecomposition behind the logarithm is read off
-a complex Schur form, its columns in LAPACK's phases.  Every unitary has a
-principal logarithm, its eigenphases taken in (-pi, pi], so the logarithm
-refuses no input.
+from ``eig_skew``, so a caller that keeps them decomposes each X once; the
+adjoint's divided differences, ``exp_divided_differences``, serve callers
+that work in that eigenbasis themselves.  The principal logarithm of
+unitary matrices, commutators, the Frobenius (trace) inner product and a
+coordinate basis of the skew-Hermitian matrices complete the set.  The
+unitary eigendecomposition behind the logarithm is read off a complex Schur
+form, its columns in LAPACK's phases.  Every unitary has a principal
+logarithm, its eigenphases taken in (-pi, pi], so the logarithm refuses no
+input.
 ``degeneracy_groups`` holds the one rule for which eigenvalues count as
 degenerate, and the gauge of the spectrum it labels is decided here:
 ``skew_basis(n, labels)`` generates it, ``polar_gauge`` is its member
@@ -222,6 +224,20 @@ def expm_skew_times(X: np.ndarray, times) -> np.ndarray:
     return exp_i(theta * ts[:, None], W)
 
 
+def exp_divided_differences(theta: np.ndarray, times) -> np.ndarray:
+    """Daleckii-Krein weights phi (..., m, n, n) of e^{Xt} for the eigenvalues
+    theta (..., n) of -iX at times (m,): the derivative of e^{X t_i} scales
+    W* dX W elementwise by t_i phi_i (Higham 2008, Functions of Matrices,
+    sec. 3.2).  phi_i[j, k] is the divided difference of e^{i theta t_i} at
+    theta_j, theta_k in the half-angle form of the expm1 quotient,
+    e^{i(theta_j + theta_k)t/2} sin(g)/g with g = (theta_j - theta_k)t/2,
+    which stays accurate as eigenvalues coincide."""
+    theta = np.asarray(theta)[..., None, :]
+    t = np.asarray(times, dtype=float)[:, None, None]
+    return np.exp(0.5j * t * (theta[..., :, None] + theta[..., None, :])) * np.sinc(
+        t * (theta[..., :, None] - theta[..., None, :]) / (2 * np.pi))
+
+
 def expm_skew_adjoint(theta: np.ndarray, W: np.ndarray, times, Y) -> np.ndarray:
     """Gradient in X of sum_i Re<Y_i, e^{X t_i}> at each skew-Hermitian X of
     a stack, from the eigenpairs (theta, W) = ``eig_skew(X)`` that the
@@ -229,21 +245,14 @@ def expm_skew_adjoint(theta: np.ndarray, W: np.ndarray, times, Y) -> np.ndarray:
     Re<G, dX>.
 
     theta is (..., n), W (..., n, n), times (m,) and Y (..., m, n, n);
-    the result is (..., n, n), one gradient per X, summed over its m times.
-    Daleckii-Krein (Higham 2008, Functions of Matrices, sec. 3.2): the
-    derivative of e^{Xt} scales W* dX W elementwise by t times the divided
-    differences phi of e^{i theta t}, taken in the half-angle form of the
-    expm1 quotient, e^{i(theta_j + theta_k)t/2} sin(g)/g with g = (theta_j -
-    theta_k)t/2, which stays accurate as eigenvalues coincide; so G = sum_i
-    t_i W (conj(phi_i) o W* Y_i W) W*.  No eigendecomposition is made here.
+    the result is (..., n, n), one gradient per X, summed over its m times:
+    G = sum_i t_i W (conj(phi_i) o W* Y_i W) W* with the weights phi of
+    ``exp_divided_differences``.  No eigendecomposition is made here.
     """
-    theta = np.asarray(theta)[..., None, :]
     t = np.asarray(times, dtype=float)[:, None, None]
-    phi = np.exp(0.5j * t * (theta[..., :, None] + theta[..., None, :])) * np.sinc(
-        t * (theta[..., :, None] - theta[..., None, :]) / (2 * np.pi)
-    )
     Wm = W[..., None, :, :]
     Yw = dagger(Wm) @ np.asarray(Y, dtype=complex) @ Wm
+    phi = exp_divided_differences(theta, times)
     return W @ (t * np.conj(phi) * Yw).sum(axis=-3) @ dagger(W)
 
 

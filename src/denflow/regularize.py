@@ -17,12 +17,14 @@ that turn every constraint into a bound: V = V_start e^{A(a)} and X = X(c)
 expand A and X in ``skew_basis``, and z = q sum(p)/sum(q) - p, so the
 bounds p, q >= 0 give p + z >= 0 and sum(z) = 0 by construction.  Each
 evaluation builds A and X in one product with the flattened basis and
-decomposes them in one batched ``eig_skew`` call; one ``exp_i`` turns those
-eigenpairs into V and all the propagators e^{X t_i}, the gradients in A and
-X (``expm_skew_adjoint``) read them too, and one more product with the
-basis takes both gradients to coordinates.  The additive i*phi*I gauge of
-the outer rotation cancels in the conjugation, so the path cannot see it;
-the fitted X is returned traceless.
+decomposes them in one batched ``eig_skew`` call; ``exp_i`` turns A's
+eigenpairs into V, and the model is evaluated in X's eigenbasis, where each
+propagator e^{X t_i} is a diagonal of phases and is never formed.  The
+gradients in A (``expm_skew_adjoint``) and X (``exp_divided_differences``)
+read the same eigenpairs, and one more product with the basis takes both
+to coordinates.  The additive i*phi*I gauge of the outer rotation cancels
+in the conjugation, so the path cannot see it; the fitted X is returned
+traceless.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .linalg import (
     degeneracy_groups,
     eig_hermitian,
     eig_skew,
+    exp_divided_differences,
     exp_i,
     expm_skew,
     expm_skew_adjoint,
@@ -114,19 +117,15 @@ def _check_samples(samples, minimum: int = 1):
 
 
 def model_path(model: RegularizedModel, times) -> np.ndarray:
-    """Model states e^{Xt} V diag(p + z t) V* e^{-Xt} at the given times."""
+    """Model states e^{Xt} V diag(p + z t) V* e^{-Xt} at the given times.
+    Raises ValueError unless X is skew-Hermitian."""
+    X = check_skew(model.X)
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     # first, so a non-finite time is rejected before inf * 0 warns below
-    props = expm_skew_times(model.X, ts)
+    props = expm_skew_times(X, ts)
     lam = model.p[None, :] + np.outer(ts, model.z)
-    return hermitian_part(_flow(props, model.V, lam)[1])
-
-
-def _flow(props, V, lam):
-    """Cores V diag(lam_i) V* and states props_i core_i props_i*, given
-    props_i = e^{X t_i}."""
-    core = np.einsum("ik,tk,jk->tij", V, lam, V.conj())
-    return core, props @ core @ dagger(props)
+    core = np.einsum("ik,tk,jk->tij", model.V, lam, model.V.conj())
+    return hermitian_part(props @ core @ dagger(props))
 
 
 def residual(model: RegularizedModel, samples, squared: bool = False) -> float:
@@ -209,49 +208,56 @@ def _initial_guess(ts, vals):
     return V0, np.maximum(w[0], 0.0), z0, X0
 
 
-def _unpack(x, V_start, S, ts):
-    """(theta, W) = ``eig_skew`` of the stack (A, X), V, the propagators
-    e^{X t_i}, p, z, X, w and sum(q) at x = (a, p, q, c), with
-    z = w sum(p) - p for the weights w = q / sum(q).  A and X are built in
-    one product with the flattened basis and decomposed in one call; V and
-    the propagators come from one ``exp_i``."""
+def _unpack(x, V_start, S):
+    """(theta, W) = ``eig_skew`` of the stack (A, X), V, p, z, X, w and
+    sum(q) at x = (a, p, q, c), with z = w sum(p) - p for the weights
+    w = q / sum(q).  A and X are built in one product with the flattened
+    basis and decomposed in one call."""
     m, n = len(S), V_start.shape[0]
-    a, p, q, c = np.split(x, [m, m + n, m + 2 * n])
+    a, p, q, c = x[:m], x[m:m + n], x[m + n:m + 2 * n], x[m + 2 * n:]
     s = q.sum()
     # sum(q) = 0 only at q = 0, where any weights give p + z = 0; uniform
     # ones keep z finite (the all-zero start then stays at p = z = 0)
     w = q / s if s > 0.0 else np.full(n, 1.0 / n)
-    AX = (np.stack([a, c]) @ S.reshape(m, -1)).reshape(2, n, n)
+    AX = (np.array([a, c]) @ S.reshape(m, -1)).reshape(2, n, n)
     theta, W = eig_skew(AX)
-    E = exp_i(np.concatenate([theta[:1], theta[1] * ts[:, None]]), W[[0] + [1] * len(ts)])
-    return theta, W, V_start @ E[0], E[1:], p, w * p.sum() - p, AX[1], w, s
+    return theta, W, V_start @ exp_i(theta[0], W[0]), p, w * p.sum() - p, AX[1], w, s
 
 
 def _objective(x, V_start, S, ts, vals, squared):
-    """Smoothed objective and its exact gradient in x = (a, p, q, c).  One
-    batched ``eig_skew`` of (A, X) feeds V, the propagators and both
-    adjoints; the two basis gradients are one product with the flattened
-    basis."""
-    theta, W, V, props, p, z, _, w, s = _unpack(x, V_start, S, ts)
-    lam = p[None, :] + np.outer(ts, z)
-    core, states = _flow(props, V, lam)
-    R = states - vals
+    """Smoothed objective and its exact gradient in x = (a, p, q, c), in
+    the eigenbasis W of X from the one batched ``eig_skew`` of (A, X): with
+    B = W* V, the state at t_i is (B diag(p + z t_i) B*) o P_i for the phases
+    P_i[j, k] = e^{i(theta_j - theta_k) t_i}, and its misfit to W* vals_i W
+    has the plain one's norm, so no propagator is formed.  X's gradient
+    takes the weights of ``exp_divided_differences`` times e^{i theta_k t_i}."""
+    theta, W, V, p, z, _, w, s = _unpack(x, V_start, S)
+    m, n = vals.shape[:2]
+    WX, T = W[1], np.array([np.ones(m), ts])  # lam_i = p + z t_i = (p, z) T[:, i]
+    B = dagger(WX) @ V
+    Bh = dagger(B)
+    e = np.exp(1j * np.outer(ts, theta[1]))
+    P = e[:, :, None] * e[:, None, :].conj()
+    states = (T.T @ np.array([(B * p) @ Bh, (B * z) @ Bh]).reshape(2, -1)).reshape(m, n, n) * P
+    # vec(W* Y W) = vec(Y) (conj(W) kron W): every sample in one product
+    K = (WX.conj()[:, None, :, None] * WX[None, :, None, :]).reshape(n * n, n * n)
+    R = states - (vals.reshape(m, -1) @ K).reshape(m, n, n)
     r = np.linalg.norm(R, axis=(1, 2))
     if squared:
         f, G = (r * r).sum(), 2.0 * hermitian_part(R)
     else:
         h = np.sqrt(r * r + _DELTA * _DELTA)
         f, G = (h - _DELTA).sum(), hermitian_part(R) / h[:, None, None]
-    # dF = sum_i Re<G_i, d state_i>; H_i = props_i* G_i props_i is the same
-    # differential on the core V diag(lam_i) V*
-    HV = dagger(props) @ G @ props @ V
-    M = np.einsum("ik,tik->tk", V.conj(), HV).real  # dF/dlam_i = diag(V* H_i V)
-    gp, gz = M.sum(axis=0), ts @ M
-    gV = 2.0 * np.einsum("tik,tk->ik", HV, lam)
+    # dF = sum_i Re<G_i, d state_i>; G_i o conj(P_i) is the same differential
+    # on the core B diag(lam_i) B*, so HB = sum_i T[:, i] (G_i o conj(P_i)) B
+    HB = (T @ (G * P.conj()).reshape(m, -1)).reshape(2, n, n) @ B
+    gp, gz = np.einsum("ik,sik->sk", B.conj(), HB).real  # sum_i T[:, i] dF/dlam_i
+    gV = 2.0 * WX @ (HB[0] * p + HB[1] * z)
     gA = expm_skew_adjoint(theta[0], W[0], [1.0], [dagger(V_start) @ gV])
-    gX = expm_skew_adjoint(theta[1], W[1], ts, 2.0 * G @ props @ core)
+    psi = np.conj(exp_divided_differences(theta[1], ts)) * e[:, None, :]
+    gX = 2.0 * WX @ (ts @ (psi * (G @ states)).reshape(m, -1)).reshape(n, n) @ dagger(WX)
     # Re<S_j, G> for both gradients at once: the derivatives along the basis
-    ga, gc = (np.stack([gA, gX]).reshape(2, -1) @ S.reshape(len(S), -1).conj().T).real
+    ga, gc = (np.array([gA, gX]).reshape(2, -1) @ S.reshape(len(S), -1).conj().T).real
     gq = (p.sum() / s) * (gz - gz @ w) if s > 0.0 else np.zeros(len(w))
     return float(f), np.concatenate([ga, gp - gz + gz @ w, gq, gc])
 
@@ -274,13 +280,15 @@ def solve_regularization(
     lowest objective wins; the returned model's ``stalled`` and ``history``
     are those of the winning start.  The history opens with the solver's own
     first evaluation, at the start, so a start costs no evaluation beyond
-    the solver's.
+    the solver's.  ``rng_seed``, which seeds the perturbations, must be a
+    nonnegative integer.
     """
     from scipy.optimize import Bounds, minimize  # here, so synthesis needs no scipy
 
     ts, vals = _check_samples(samples, minimum=3)
     seeds = check_count("seeds", seeds, 1)
     max_iters = check_count("max_iters", max_iters, 1)
+    rng_seed = check_count("rng_seed", rng_seed, 0)
     n = vals.shape[1]
     V0, p0, z0, X0 = _initial_guess(ts, vals)
     rng = np.random.default_rng(rng_seed)
@@ -320,7 +328,7 @@ def solve_regularization(
         if best is None or res.fun < best[0]:
             best = (res.fun, res.x, V, res.status == 1, history)
     _, x, V_start, stalled, history = best
-    _, _, V, _, p, z, X, _, _ = _unpack(x, V_start, S, ts)
+    _, _, V, p, z, X, _, _ = _unpack(x, V_start, S)
     # column phases of V are pure gauge (they commute with the diagonal
     # core), so fix them for reproducible output
     model = RegularizedModel(

@@ -27,7 +27,7 @@ from denflow.cli import (
 )
 from denflow.geodesic import solve_geodesic
 from denflow.linalg import frob_norm
-from denflow.regularize import model_path, RegularizedModel
+from denflow.regularize import model_path, RegularizedModel, residual
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -598,6 +598,34 @@ class TestSynthAndRegularize:
         ])
         assert code == 3
         assert not (out / "model.json").exists()
+
+    def test_regularize_negative_seed_exits_3(self, sdocs, capsys):
+        assert self.synth(sdocs, sdocs / "a") == 0
+        out = sdocs / "fit"
+        code = main([
+            "regularize", "--data", str(sdocs / "a" / "dataset.json"),
+            "--seed", "-1", "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert not (out / "model.json").exists()
+        assert "rng_seed must be at least 0" in capsys.readouterr().err
+
+    def test_regularize_squared_objective_is_the_written_models(self, sdocs):
+        assert self.synth(sdocs, sdocs / "a", noise="0.05") == 0
+        out = sdocs / "fit"
+        code = main([
+            "regularize", "--data", str(sdocs / "a" / "dataset.json"), "--squared",
+            "--seeds", "1", "--out", str(out), "--quiet",
+        ])
+        assert code in (0, 5)
+        doc = json.loads((out / "model.json").read_text())
+        model = RegularizedModel(
+            V=doc_to_matrix(doc["V"], kind="unitary"), p=np.array(doc["p"]),
+            z=np.array(doc["z"]), X=doc_to_matrix(doc["X"], kind="skew"), objective=0.0,
+        )
+        samples = doc_to_samples(json.loads((sdocs / "a" / "dataset.json").read_text()))
+        want = residual(model, samples, squared=True)
+        assert abs(doc["objective"] - want) <= 1e-9 * want
 
     def test_synth_bad_times_exits_3(self, sdocs):
         code = self.synth(sdocs, sdocs / "a", times="nonsense")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import denflow.regularize as reg
@@ -156,6 +157,19 @@ class TestResidual:
                  for m, s in zip(model_path(truth, TIMES), noisy)]
         assert abs(residual(truth, noisy, squared=True) - sum(x * x for x in norms)) <= 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_skew_generator_rejected(self, n):
+        # the skew part of X would be modelled silently
+        X = np.zeros((n, n), dtype=complex)
+        X[0, 1] = 1.0
+        V = np.eye(n, dtype=complex)
+        model = RegularizedModel(V=V, p=np.full(n, 1.0 / n), z=np.zeros(n), X=X, objective=0.0)
+        data = [MatrixSample(t, V / n) for t in (0.1, 0.5, 0.9)]
+        with pytest.raises(ValueError, match="skew-Hermitian"):
+            model_path(model, [0.5])
+        with pytest.raises(ValueError, match="skew-Hermitian"):
+            residual(model, data)
+
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             residual(truth_model(RHO0, XTRUE), [])
@@ -206,6 +220,30 @@ class TestGradient:
             e[i] = 1e-6 * max(1.0, abs(x[i]))
             ref[i] = (_objective(x + e, *args)[0] - _objective(x - e, *args)[0]) / (2 * e[i])
         assert np.abs(g - ref).max() <= 1e-7 * max(1.0, np.abs(g).max())
+
+
+class TestEigenbasisEvaluation:
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_objective_is_the_misfit_of_the_plain_model(self, n, squared):
+        # the objective works in X's eigenbasis; model_path is the plain
+        # e^{Xt} V diag(p + z t) V* e^{-Xt} of the model that x encodes
+        rng = np.random.default_rng(90 + n)
+        S = skew_basis(n)
+        ts = np.linspace(0.05, 1.0, 7)
+        vals = np.stack([random_hermitian(rng, n) for _ in ts])
+        V_start = expm_skew(random_skew(rng, n, 0.5))
+        a, c = coords(random_skew(rng, n, 0.5), S), coords(random_skew(rng, n, 2.0), S)
+        p, q = rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n)
+        x = np.concatenate([a, p, q, c])
+        model = RegularizedModel(
+            V=V_start @ scipy.linalg.expm(np.tensordot(a, S, 1)), p=p,
+            z=q * p.sum() / q.sum() - p, X=np.tensordot(c, S, 1), objective=0.0,
+        )
+        r = np.linalg.norm(model_path(model, ts) - vals, axis=(1, 2))
+        want = (r * r).sum() if squared else (np.sqrt(r * r + reg._DELTA**2) - reg._DELTA).sum()
+        got = _objective(x, V_start, S, ts, vals, squared)[0]
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestFusedEvaluation:
@@ -368,6 +406,12 @@ class TestSolve:
         data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES[:4], noise_amp=0.0)
         with pytest.raises(ValueError, match="seeds"):
             solve_regularization(data, seeds=seeds)
+
+    @pytest.mark.parametrize("rng_seed", [-1, 1.5, True])
+    def test_bad_rng_seed_rejected(self, rng_seed):
+        data = synth_noisy_path(RHO0, XTRUE, np.zeros(2), TIMES[:4], noise_amp=0.0)
+        with pytest.raises(ValueError, match="rng_seed"):
+            solve_regularization(data, rng_seed=rng_seed)
 
     @pytest.mark.parametrize("max_iters", [0, -1, 2.5, np.inf])
     def test_no_iteration_rejected(self, max_iters):
