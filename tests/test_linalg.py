@@ -9,6 +9,7 @@ from denflow.linalg import (
     degeneracy_groups,
     eig_hermitian,
     eig_skew,
+    exp_divided_differences,
     expm_skew,
     expm_skew_adjoint,
     frob_inner,
@@ -410,3 +411,17 @@ def test_polar_gauge_of_a_vanishing_phase_is_one():
     G = np.array([[0.0, 1.0], [1.0, 2j]])
     assert np.array_equal(polar_gauge(G, np.array([0, 1])), np.diag([1.0, 1j]))
 
+
+
+def test_exp_divided_differences_are_the_plain_quotient():
+    # apart from coincident eigenvalues the half-angle form equals the plain
+    # divided difference of e^{i theta t}; on the diagonal it is e^{i theta t}
+    theta, times = np.array([-1.3, 0.2, 2.9]), np.array([0.25, 1.0])
+    phi = exp_divided_differences(theta, times)
+    assert phi.shape == (2, 3, 3)
+    for t, ph in zip(times, phi):
+        e = np.exp(1j * theta * t)
+        for j in range(3):
+            for k in range(3):
+                want = e[j] if j == k else (e[j] - e[k]) / (1j * (theta[j] - theta[k]) * t)
+                assert abs(ph[j, k] - want) <= 1e-14
