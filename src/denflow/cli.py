@@ -328,7 +328,7 @@ def cmd_path(ns) -> int:
             for X, u in zip(dp.Xs, dp.us)
         ],
     )
-    times = np.arange(dp.N + 1) * dp.dt
+    times = np.arange(dp.N + 1) / dp.N
     _write_sampled_path(out, times, dp.states, ns.format, ns.glyphs)
     if not dp.converged:
         log.warning(

@@ -29,27 +29,28 @@ The gauge search, ``minimal_rotation``, starts from ``linalg.polar_gauge``
 or its best flip of one or two singular-pair signs, sweeps once along
 one-parameter subgroups e^{aS} of the gauge group (Absil, Mahony &
 Sepulchre 2008, ch. 4) to pick the basin, then takes Newton steps to a
-stationary point.  Each
-generator S of ``linalg.skew_basis(n, labels)`` is a column phase i E_kk
-or, inside a degenerate group, a rotation E_kl - E_lk or i(E_kl + E_lk).
-All of them satisfy S^3 = -S, so e^{aS} = I + sin(a) S + (1 - cos a) S^2
-(Rodrigues), and the Hermitian part of U1 Theta e^{aS} U0'*, whose
-eigenvalues are the cosines of the rotation's phases, is a pencil H0 +
-sin(a) H1 + (1 - cos a) H2 fixed per coordinate.  Scoring a step then
-takes two scaled adds and one ``eigvalsh``, and ``golden`` refines it
-only coarsely.  The gradient of 1/2 ||log Q||_F^2 on the gauge group
-(Absil et al. 2008, sec. 3.6) has the coordinates Re<S, L>, L the log
-of Q = U1 Theta U0'* in U0''s basis, and their Jacobian is the Frechet
-derivative of the log in the Schur basis that L is read from
-(Daleckii-Krein; Higham 2008, Functions of Matrices, sec. 3.2 and ch.
-11).  Riemannian Newton (Absil et al. 2008, ch. 6) on it converges
-quadratically.  Where the curvature is not positive, the step is the
-fixed point Theta <- Theta e^{-C}, C the part of L inside the degenerate
-groups: the horizontal-lift iteration for Riemannian logarithms on
-Stiefel and flag manifolds (Zimmermann 2017, SIAM J. Matrix Anal. Appl.
-38(2)).  It returns X, the log read from its last step's Schur form,
-whose norm is the matching's rotation cost; the winning matching's X is
-the solution's, with no second decomposition.
+stationary point in it.  Each generator S of ``linalg.skew_basis(n,
+labels)`` is a column phase i E_kk or, inside a degenerate group, a
+rotation E_kl - E_lk or i(E_kl + E_lk).  All of them satisfy S^3 = -S, so
+e^{aS} = I + sin(a) S + (1 - cos a) S^2 (Rodrigues), and the Hermitian part
+of U1 Theta e^{aS} U0'*, whose eigenvalues are the cosines of the
+rotation's phases, is a pencil H0 + sin(a) H1 + (1 - cos a) H2 fixed per
+coordinate.  Scoring a step then takes two scaled adds and one ``eigvalsh``;
+a grid brackets the basin and ``golden`` takes one step inside the
+bracket.  The gradient of 1/2 ||log Q||_F^2 on the gauge group (Absil et al.
+2008, sec. 3.6) has the coordinates Re<S, L>, L the log of Q = U1 Theta
+U0'* in U0''s basis, and their Jacobian is the Frechet derivative of the
+log in the Schur basis that L is read from (Daleckii-Krein; Higham 2008,
+Functions of Matrices, sec. 3.2 and ch. 11), with the divided differences
+that ``linalg.exp_divided_differences`` gives the regularizer.  Riemannian
+Newton (Absil et al. 2008, ch. 6) on it converges quadratically.  Where the
+curvature is not positive, the step is the fixed point Theta <- Theta
+e^{-C}, C the part of L inside the degenerate groups: the horizontal-lift
+iteration for Riemannian logarithms on Stiefel and flag manifolds
+(Zimmermann 2017, SIAM J. Matrix Anal. Appl. 38(2)).  It returns X, the log
+read from its last step's Schur form, whose norm is the matching's rotation
+cost; the winning matching's X is the solution's, with no second
+decomposition.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .linalg import (
     degeneracy_groups,
     eig_hermitian,
     eig_unitary,
+    exp_divided_differences,
     expm_skew,
     expm_skew_times,
     frob_norm,
@@ -143,8 +145,6 @@ def _log_norm(Q: np.ndarray):
 
 
 _GRID = np.linspace(-np.pi, np.pi, 25)
-# the sweep only picks the basin, so golden stops coarse (see minimal_rotation)
-_GOLDEN_TOL = 1e-3
 # stop on the gauge gradient's norm, and a cap on the steps; the benchmark
 # inputs take a median of 2 Newton steps and at most 16 (the fixed point
 # alone took a median of 10 and at most 178)
@@ -166,12 +166,12 @@ def _gauge_jacobian(phases: np.ndarray, W: np.ndarray, gens: np.ndarray) -> np.n
     Daleckii-Krein (Higham 2008, Functions of Matrices, sec. 3.2 and ch.
     11): the derivative of the log at Q along Q V is W (Psi o W* V W) W*,
     Psi the divided differences of the log at the eigenvalues times e^{i
-    phi_j}, in the half-angle form e^{i delta/2} / sinc(delta / 2 pi) with
-    delta = phi_j - phi_k, which is 1 where phases coincide.  Jac is not
+    phi_j}.  The log's divided differences are the reciprocals of the
+    exponential's, so Psi[j, k] = e^{i phi_j} / ``exp_divided_differences``
+    (phases, [1])[j, k], which is 1 where phases coincide.  Jac is not
     symmetric inside a degenerate block.
     """
-    d = phases[:, None] - phases
-    psi = np.exp(0.5j * d) / np.sinc(d / (2 * np.pi))
+    psi = np.exp(1j * phases)[:, None] / exp_divided_differences(phases, [1.0])[0]
     Sw = dagger(W) @ gens @ W
     return along(Sw, psi * Sw)
 
@@ -195,15 +195,15 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
 
     One coordinate sweep along the gauge generators ``skew_basis(n,
     labels)`` follows.  Per coordinate S the pencil of Herm(U1 Theta e^{aS}
-    U0p*) is formed once; a grid over [-pi, pi] brackets the best step and
-    ``golden`` refines it one period (2 pi) up, where its relative stop
-    |x3 - x0| <= tol (|x1| + |x2|) closes within about 1e-2 rad: the sweep
-    only picks the basin.  Newton's method on the gauge gradient does the
-    rest (Absil, Mahony & Sepulchre 2008, ch. 6).  Each step reads the
-    eigenpairs (phi, W) of K Theta, K = U0p* U1, so that L = W diag(i phi)
-    W* is log(U1 Theta U0p*) in U0p's basis and g = ``along``(L, gens) is
-    the gradient of 1/2 ||L||_F^2 along the generators, and solves Jac v =
-    -g with Jac from ``_gauge_jacobian``: Theta <- Theta e^{sum_a v_a S_a}.
+    U0p*) is formed once; a grid over [-pi, pi] brackets the best step,
+    and ``golden`` takes one golden-section step inside the grid's
+    bracket: the sweep only picks the basin.  Newton's method on the gauge
+    gradient converges in it (Absil, Mahony & Sepulchre 2008, ch. 6).  Each
+    step reads the eigenpairs (phi, W) of K Theta, K = U0p* U1, so that L =
+    W diag(i phi) W* is log(U1 Theta U0p*) in U0p's basis and g =
+    ``along``(L, gens) is the gradient of 1/2 ||L||_F^2 along the
+    generators, and solves Jac v = -g with Jac from ``_gauge_jacobian``:
+    Theta <- Theta e^{sum_a v_a S_a}.
     Jac + Jac^T is the curvature along one-parameter subgroups.  Where it
     is not positive definite, Newton's step can head for a saddle or a
     maximum, so the step is the fixed point's -C, C = P(L) with P keeping
@@ -238,10 +238,12 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
         P = hermitian_part(U1 @ steps @ U0pH)
         vals = _phase_norm(_pencil(P, _GRID))
         j = int(np.argmin(vals))
-        b = _GRID[j] + 2 * np.pi
+        b = _GRID[j]
+        # one golden-section step inside the grid's bracket: the sweep only
+        # picks the basin, and Newton's steps below converge in it
         xmin, fmin, _ = golden(
             lambda a: _phase_norm(_pencil(P, a)), brack=(b - h, b, b + h),
-            tol=_GOLDEN_TOL, full_output=True,
+            maxiter=1, full_output=True,
         )
         if vals[j] < fmin:
             xmin, fmin = _GRID[j], vals[j]

@@ -20,8 +20,11 @@ the frames, a ``cumsum`` for the eigenvalues and one batched build of the
 states.  Its gradient needs no sweep: every frame is unitary, so the
 propagator from step k+1 to the end is V_N V_{k+1}*, and one
 ``expm_skew_adjoint`` call on the rollout's eigenpairs gives every X
-gradient; the d gradients are a reverse ``cumsum``.  The returned path is
-the engine's own final trajectory, the one that decides convergence.
+gradient; the d gradients are a reverse ``cumsum``.  The engine keeps its
+last rollout, so each control vector is rolled out once: the start and
+L-BFGS-B's first evaluation of a round share one, as do its last
+evaluation and the x it returns.  The returned path is the engine's own
+final trajectory, the one that decides convergence.
 """
 
 from __future__ import annotations
@@ -139,6 +142,7 @@ class _Engine:
         self.w0, self.U0 = base.spectrum, base.frame
         # the in-group rotations of rho0's gauge; column phases are pure gauge
         self.SB = skew_basis(n, degeneracy_groups(self.w0))[n:]
+        self._last = None  # (a copy of x, its rollout)
 
     def start(self):
         """x of the geodesic's constant controls: with V_0 = U0 and d_k its
@@ -149,7 +153,14 @@ class _Engine:
     def simulate(self, x):
         """The whole path from rho0 under the controls x, each d_k's mean
         removed.  Its terms are unweighted, so continuation re-weights them
-        without simulating again."""
+        without simulating again, and the last rollout is reused when x
+        comes back unchanged: L-BFGS-B opens each round at the x the round
+        before ended on, and usually returns the x it evaluated last."""
+        if self._last is None or not np.array_equal(x, self._last[0]):
+            self._last = (np.array(x), self._rollout(x))
+        return self._last[1]
+
+    def _rollout(self, x):
         N, n, dt = self.N, self.n, self.dt
         cX, d, b = np.split(x, [N * n * n, N * n * (n + 1)])
         Xs = np.tensordot(cX.reshape(N, n * n), self.SX, 1)

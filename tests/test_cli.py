@@ -413,6 +413,24 @@ class TestPath:
         _, data = read_csv(out / "path.csv")
         assert data.shape[0] == 21
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sample_times_end_at_one(self, docs, fmt):
+        # k * (1/49) rounds to 0.9999999999999999 at k = 49; k / 49 does not
+        out = docs / "run"
+        code = main([
+            "path", "--rho0", str(docs / "rho0.json"),
+            "--rho1", str(docs / "rho1.json"), "--epsilon", "1",
+            "--steps", "49", "--format", fmt, "--out", str(out), "--quiet",
+        ])
+        assert code in (0, 4)
+        if fmt == "json":
+            doc = json.loads((out / "path.json").read_text())
+            times = [s["t"] for s in doc["samples"]]
+        else:
+            times = list(read_csv(out / "path.csv")[1][:, 0])
+        assert times == [k / 49 for k in range(50)]
+        assert times[-1] == 1.0
+
     def test_identical_endpoints_zero_cost(self, docs):
         out = docs / "run"
         code = main([

@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.optimize import golden
 
 import denflow.geodesic as geo
-from conftest import random_psd, random_unitary
+from conftest import planted_flow, random_psd, random_unitary
 from denflow.geodesic import (
     CostBreakdown,
     InfeasibleError,
@@ -817,3 +817,22 @@ def test_cost_is_invariant_under_unitary_conjugation(oracle_costs):
 def test_cost_is_invariant_under_swapping_the_endpoints(oracle_costs):
     C, _, C_swap = oracle_costs
     assert np.abs(C_swap - C).max() <= 1e-12
+
+
+# --- witness oracles: no answer costs more than a feasible path of known cost ---
+
+
+@pytest.mark.parametrize("eps", [0.3, 3.0])
+@pytest.mark.parametrize("n", [3, 4])
+def test_cost_at_most_the_planted_flow(n, eps):
+    # 40 planted flows per n with a simple spectrum of rho0; each draw is
+    # reported by its index, so a failure names its flow
+    rng = np.random.default_rng(1200 + n)
+    over = []
+    for draw in range(40):
+        rho0, rho1, X, z = planted_flow(rng, n)
+        planted = frob_norm(X) + eps * np.linalg.norm(z)
+        cost = solve_geodesic(rho0, rho1, eps).cost_total
+        if cost > planted * (1 + 1e-9):
+            over.append((draw, cost, planted))
+    assert not over

@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.optimize
 
 import denflow.regularize as reg
-from conftest import random_hermitian, random_skew, random_unitary
+from conftest import random_hermitian, random_psd, random_skew, random_unitary
+from denflow.geodesic import solve_geodesic
 from denflow.linalg import coords, expm_skew, frob_norm, is_unitary, skew_basis
 from denflow.regularize import (
     MatrixSample,
@@ -513,3 +514,27 @@ class TestStartOracles:
         a = solve_regularization(samples, seeds=1).objective
         b = solve_regularization(turned, seeds=1).objective
         assert abs(a - b) <= 1e-6 * a
+
+
+class TestWitness:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_geodesic_between_the_model_ends_costs_at_most_the_model(self, n):
+        # the fitted model is a constant-control path from its rho(0) to its
+        # rho(1), so the geodesic between them costs at most ||X|| + eps ||z||;
+        # 20 fits per n, each reported by its index
+        rng = np.random.default_rng(1300 + n)
+        over = []
+        for fit in range(20):
+            rho0 = random_psd(rng, n)
+            rho0 /= np.trace(rho0).real
+            z = 0.2 * (rng.dirichlet(np.ones(n)) - 1 / n)
+            data = synth_noisy_path(rho0, random_skew(rng, n, 0.5), z, TIMES,
+                                    noise_amp=0.03, seed=fit)
+            model = solve_regularization(data, seeds=1)
+            ends = model_path(model, [0.0, 1.0])
+            for eps in (0.3, 3.0):
+                fitted = frob_norm(model.X) + eps * np.linalg.norm(model.z)
+                cost = solve_geodesic(ends[0], ends[1], eps).cost_total
+                if cost > fitted * (1 + 1e-9):
+                    over.append((fit, eps, cost, fitted))
+        assert not over

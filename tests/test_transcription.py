@@ -8,6 +8,7 @@ import pytest
 from conftest import random_hermitian, random_psd, random_skew, random_unitary
 from test_geodesic import unit_trace_pair
 
+import denflow.transcription as transcription
 from denflow.geodesic import InfeasibleError, eval_path, path_cost, sample_path, solve_geodesic
 from denflow.linalg import expm_skew, frob_norm
 from denflow.transcription import (
@@ -267,6 +268,35 @@ class TestSolver:
         rho0, rho1 = unit_trace_pair(np.random.default_rng(5), 3, "complex")
         solve_discrete_path(rho0, rho1, 1.0, steps=4, max_rounds=1, max_iters=1)
         assert len(calls) == 2
+
+    def test_one_rollout_per_distinct_control_vector(self, monkeypatch):
+        # the start, every x L-BFGS-B evaluates and every x it returns: a
+        # round opens at the x the last one ended on, and the solver's first
+        # and usually its last evaluation repeat an x already rolled out
+        seen, rollouts = [], []
+        minimize, rollout = transcription.minimize, _Engine._rollout
+
+        def recording(fun, x0, **kwargs):
+            seen.append(x0.tobytes())
+
+            def evaluating(x):
+                seen.append(x.tobytes())
+                return fun(x)
+
+            res = minimize(evaluating, x0, **kwargs)
+            seen.append(res.x.tobytes())
+            return res
+
+        def counting(self, x):
+            rollouts.append(1)
+            return rollout(self, x)
+
+        monkeypatch.setattr(transcription, "minimize", recording)
+        monkeypatch.setattr(_Engine, "_rollout", counting)
+        rho0, rho1 = unit_trace_pair(np.random.default_rng(7), 3, "complex")
+        path = solve_discrete_path(rho0, rho1, 1.0, steps=10, tol_end=1e-9, max_rounds=3)
+        assert path.rounds == 3
+        assert len(rollouts) == len(set(seen))
 
     @pytest.mark.parametrize("eps", [0.3, 3.0])
     @pytest.mark.parametrize("n", [2, 3, 4])
