@@ -44,13 +44,12 @@ log in the Schur basis that L is read from (Daleckii-Krein; Higham 2008,
 Functions of Matrices, sec. 3.2 and ch. 11), with the divided differences
 that ``linalg.exp_divided_differences`` gives the regularizer.  Riemannian
 Newton (Absil et al. 2008, ch. 6) on it converges quadratically.  Where the
-curvature is not positive, the step is the fixed point Theta <- Theta
-e^{-C}, C the part of L inside the degenerate groups: the horizontal-lift
-iteration for Riemannian logarithms on Stiefel and flag manifolds
-(Zimmermann 2017, SIAM J. Matrix Anal. Appl. 38(2)).  It returns X, the log
-read from its last step's Schur form, whose norm is the matching's rotation
-cost; the winning matching's X is the solution's, with no second
-decomposition.
+curvature Jac + Jac^T is not positive definite, Jac is shifted by a multiple
+of the identity until it is, so that the step still goes downhill: Newton's
+method with Hessian modification (Nocedal & Wright 2006, Numerical
+Optimization, sec. 3.4).  It returns X, the log read from its last step's
+Schur form, whose norm is the matching's rotation cost; the winning
+matching's X is the solution's, with no second decomposition.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ from scipy.optimize import golden, linear_sum_assignment
 from .linalg import (
     InfeasibleError,
     along,
+    check_hermitian,
     dagger,
     degeneracy_groups,
     eig_hermitian,
@@ -76,7 +76,6 @@ from .linalg import (
     frob_norm,
     group_slices,
     hermitian_part,
-    is_hermitian,
     polar_gauge,
     skew_basis,
     skew_part,
@@ -146,7 +145,7 @@ def _log_norm(Q: np.ndarray):
 
 _GRID = np.linspace(-np.pi, np.pi, 25)
 # stop on the gauge gradient's norm, and a cap on the steps; the benchmark
-# inputs take a median of 2 Newton steps and at most 16 (the fixed point
+# inputs take a median of 2 steps and at most 4 (the fixed-point iteration
 # alone took a median of 10 and at most 178)
 _GAUGE_TOL = 1e-10
 _GAUGE_STEPS = 1000
@@ -206,13 +205,15 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
     Theta <- Theta e^{sum_a v_a S_a}.
     Jac + Jac^T is the curvature along one-parameter subgroups.  Where it
     is not positive definite, Newton's step can head for a saddle or a
-    maximum, so the step is the fixed point's -C, C = P(L) with P keeping
-    the entries inside the degenerate groups (Zimmermann 2017): the
-    gradient step.  A step that raises the cost by more than ``_TIE`` is
-    halved until it does not.  Unguarded, Newton's step ended at a higher
-    stationary point than the fixed point in 50 of 3420 matchings of
-    seeded pairs at n = 3, 4, by up to 1.17.  The loop
-    stops once ||C||_F < ``_GAUGE_TOL``, or after ``_GAUGE_STEPS`` steps.
+    maximum, so Jac is shifted by s I, s = max(0, ``_TIE`` - lambda_min(Jac
+    + Jac^T)), which makes it so and the step downhill (Hessian
+    modification; Nocedal & Wright 2006, sec. 3.4); s = 0 leaves Newton's
+    step.  A step that raises the cost by more than ``_TIE`` is halved
+    until it does not.  Unguarded, Newton's step ended at a higher
+    stationary point than the fixed-point iteration in 50 of 3420
+    matchings of seeded pairs at n = 3, 4, by up to 1.17.  The loop stops
+    once ||C||_F < ``_GAUGE_TOL``, C the part of L inside the degenerate
+    groups, or after ``_GAUGE_STEPS`` steps.
     X is U0p L U0p* from the last step's Schur pair, the principal
     logarithm that every unitary has, so ||X||_F = ||phi|| is free of the
     arccos noise of the sweep's score.
@@ -261,11 +262,10 @@ def minimal_rotation(U0p: np.ndarray, U1: np.ndarray, spectrum: np.ndarray) -> n
         if frob_norm(inside * L) < _GAUGE_TOL:
             break
         Jac = _gauge_jacobian(phases, W, gens)
-        try:
-            np.linalg.cholesky(Jac + Jac.T)  # positive curvature: Newton's step
-            step = np.tensordot(np.linalg.solve(Jac, -along(L, gens)), gens, 1)
-        except np.linalg.LinAlgError:  # otherwise the fixed-point step
-            step = -(inside * L)
+        # 0 where the curvature is positive definite: Newton's step itself
+        shift = max(0.0, _TIE - np.linalg.eigvalsh(Jac + Jac.T)[0])
+        v = np.linalg.solve(Jac + shift * np.eye(len(gens)), -along(L, gens))
+        step = np.tensordot(v, gens, 1)
         cost = np.linalg.norm(phases)
         while True:  # halved until the cost does not rise
             trial = Theta @ expm_skew(step)
@@ -360,10 +360,8 @@ def solve_geodesic(rho0: np.ndarray, rho1: np.ndarray, epsilon: float) -> Geodes
     are broken by matching enumeration order, preferring smaller ||Z|| at
     equal cost.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    rho1 = np.asarray(rho1, dtype=complex)
-    if not (is_hermitian(rho0) and is_hermitian(rho1)):
-        raise ValueError("endpoints must be Hermitian")
+    rho0 = check_hermitian(rho0, "rho0", 1e-12)
+    rho1 = check_hermitian(rho1, "rho1", 1e-12)
     if rho0.shape != rho1.shape:
         raise ValueError(f"dimension mismatch: {rho0.shape} vs {rho1.shape}")
     tr0, tr1 = float(np.trace(rho0).real), float(np.trace(rho1).real)

@@ -22,6 +22,7 @@ degenerate, and the gauge of the spectrum it labels is decided here:
 ``skew_basis(n, labels)`` generates it, ``polar_gauge`` is its member
 nearest a matrix, and ``phase_fix`` fixes a basis's column phases.
 ``check_count`` checks that a solver budget is a whole number in range,
+``check_hermitian`` that a state or direction is a finite Hermitian matrix,
 and ``check_skew`` that a rotation generator is skew-Hermitian.
 ``InfeasibleError``, which the solvers raise on endpoints of unequal trace,
 lives here so that the CLI can catch it without loading them.  scipy loads
@@ -94,6 +95,21 @@ def check_count(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def check_hermitian(A, what: str, tol: float) -> np.ndarray:
+    """A as a complex array; a ValueError naming ``what`` unless it is a
+    square matrix of size at least 1 with finite entries, Hermitian within
+    ``tol`` as ``is_hermitian`` reads it."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError(f"{what} is not a square matrix of size at least 1 (shape {A.shape})")
+    # before the Hermitian check, where inf - inf would warn
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"{what} has non-finite entries")
+    if not is_hermitian(A, tol):
+        raise ValueError(f"{what} must be Hermitian")
+    return A
 
 
 def check_skew(X) -> np.ndarray:

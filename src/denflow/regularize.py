@@ -35,6 +35,7 @@ import numpy as np
 
 from .linalg import (
     check_count,
+    check_hermitian,
     check_skew,
     coords,
     dagger,
@@ -47,7 +48,6 @@ from .linalg import (
     expm_skew_adjoint,
     expm_skew_times,
     hermitian_part,
-    is_hermitian,
     logm_unitary,
     phase_fix,
     polar_gauge,
@@ -103,16 +103,9 @@ def _check_samples(samples, minimum: int = 1):
     if len(samples) < minimum:
         raise ValueError(f"need at least {minimum} sample(s), got {len(samples)}")
     ts = _check_times([s.t for s in samples])
-    vals = [np.asarray(s.value, dtype=complex) for s in samples]
-    for s, v in zip(samples, vals):
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"sample at t={s.t} is not a square matrix (shape {v.shape})")
-        if v.shape != vals[0].shape:
-            raise ValueError("samples must share one matrix dimension")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"sample at t={s.t} has non-finite entries")
-        if not is_hermitian(v, tol=1e-9):
-            raise ValueError(f"sample at t={s.t} is not Hermitian")
+    vals = [check_hermitian(s.value, f"sample at t={s.t}", 1e-9) for s in samples]
+    if any(v.shape != vals[0].shape for v in vals):
+        raise ValueError("samples must share one matrix dimension")
     return ts, np.array(vals)
 
 
@@ -150,11 +143,12 @@ def synth_noisy_path(
     ascending eigenvalues of rho0 (Z is diagonal in rho0's eigenbasis).
     Entries of the noise are independent uniform in [-noise_amp,
     noise_amp]; off-diagonal imaginary parts are drawn only when
-    complex_noise is set.  Times must be finite, in [0, 1] and strictly
-    increasing, as the regularizer reads them, and the seed a nonnegative
-    integer.  A fixed seed reproduces the dataset exactly.
+    complex_noise is set.  rho0 must be finite and Hermitian within 1e-9,
+    times finite, in [0, 1] and strictly increasing, as the regularizer
+    reads them, and the seed a nonnegative integer.  A fixed seed
+    reproduces the dataset exactly.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = check_hermitian(rho0, "rho0", 1e-9)
     z = np.asarray(z, dtype=float)
     n = rho0.shape[0]
     ts = _check_times(times)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    check_hermitian,
     check_skew,
     commutator,
     dagger,
@@ -22,7 +23,6 @@ from .linalg import (
     eig_hermitian,
     expm_skew,
     hermitian_part,
-    is_hermitian,
     skew_part,
 )
 
@@ -52,14 +52,10 @@ def split_tangent(rho: np.ndarray, T: np.ndarray) -> TangentSplit:
     Eigenvalues that ``linalg.degeneracy_groups`` puts in one group are
     treated as degenerate and their entries routed to u, keeping X bounded.
     """
-    rho = np.asarray(rho, dtype=complex)
-    T = np.asarray(T, dtype=complex)
+    rho = check_hermitian(rho, "base point", 1e-12)
+    T = check_hermitian(T, "tangent direction", 1e-12)
     if rho.shape != T.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {T.shape}")
-    if not is_hermitian(rho):
-        raise ValueError("base point must be Hermitian")
-    if not is_hermitian(T):
-        raise ValueError("tangent direction must be Hermitian")
     lam, V = eig_hermitian(rho)
     Tp = dagger(V) @ T @ V
     labels = degeneracy_groups(lam)
@@ -84,8 +80,10 @@ def project_commutant(rho: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 def rotation_flow(rho0: np.ndarray, X: np.ndarray, t: float) -> np.ndarray:
-    """Isospectral flow e^{Xt} rho0 e^{-Xt}: eigenvectors turn, spectrum fixed."""
+    """Isospectral flow e^{Xt} rho0 e^{-Xt}: eigenvectors turn, spectrum
+    fixed.  rho0 must be finite and Hermitian within 1e-9."""
     if not np.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t}")
+    rho0 = check_hermitian(rho0, "rho0", 1e-9)
     U = expm_skew(check_skew(X) * t)
-    return hermitian_part(U @ np.asarray(rho0, dtype=complex) @ U.conj().T)
+    return hermitian_part(U @ rho0 @ U.conj().T)

@@ -252,6 +252,25 @@ def test_rejects_dimension_mismatch():
         solve_geodesic(np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3, 1.0)
 
 
+# (endpoint, what the check says about it)
+BAD_ENDPOINTS = {
+    "inf": (np.array([[np.inf, 0.0], [0.0, 0.5]]), "has non-finite entries"),
+    "nan": (np.array([[0.5, np.nan], [np.nan, 0.5]]), "has non-finite entries"),
+    "0x0": (np.zeros((0, 0)), "is not a square matrix"),
+    "2x3": (np.ones((2, 3)) / 2, "is not a square matrix"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ENDPOINTS)
+@pytest.mark.parametrize("which", ["rho0", "rho1"])
+def test_rejects_a_malformed_endpoint(which, bad):
+    # named as such, before a Hermitian check can warn on inf - inf
+    value, message = BAD_ENDPOINTS[bad]
+    ends = {"rho0": np.eye(2) / 2, "rho1": np.eye(2) / 2, which: value}
+    with pytest.raises(ValueError, match=f"{which} {message}"):
+        solve_geodesic(ends["rho0"], ends["rho1"], 1.0)
+
+
 def test_minimal_rotation_aligned_frames():
     rng = np.random.default_rng(45)
     U = random_unitary(rng, 4)
@@ -670,19 +689,25 @@ def test_gauge_search_cost_is_invariant_under_unitary_conjugation(n, seed, perm)
     assert abs(costs[0] - costs[1]) <= 1e-12
 
 
+def degenerate_pair(seed, n):
+    """A real Wishart rho0 and a real rho1 whose spectrum repeats one value
+    twice, both of unit trace, and a Haar unitary to conjugate them by."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n))
+    w = rng.uniform(0.2, 1.0, n)
+    w[:2] = w[0]
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    rho0, rho1 = (B @ B.T).astype(complex), (Q @ np.diag(w) @ Q.T).astype(complex)
+    V = random_unitary(np.random.default_rng(seed + 1000), n)
+    return rho0 / np.trace(rho0).real, rho1 / np.trace(rho1).real, V
+
+
 def test_degenerate_block_start_is_covariant():
     # rho1 repeats one eigenvalue; the start flips singular pairs of the
     # block, which move with its basis, so a Haar-conjugated frame reaches
     # the real frame's cost.  A start that flips the block's columns depends
     # on that basis: with it the two frames end 0.028 apart
-    rng = np.random.default_rng(502)
-    B = rng.normal(size=(4, 4))
-    w = rng.uniform(0.2, 1.0, 4)
-    w[:2] = w[0]
-    Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-    rho0, rho1 = (B @ B.T).astype(complex), (Q @ np.diag(w) @ Q.T).astype(complex)
-    rho0, rho1 = rho0 / np.trace(rho0).real, rho1 / np.trace(rho1).real
-    V = random_unitary(np.random.default_rng(1502), 4)
+    rho0, rho1, V = degenerate_pair(502, 4)
     real = solve_geodesic(rho0, rho1, 10.0).cost_total
     conj = solve_geodesic(V @ rho0 @ V.conj().T, V @ rho1 @ V.conj().T, 10.0).cost_total
     assert abs(real - conj) <= 1e-9
@@ -723,10 +748,10 @@ def test_gauge_jacobian_matches_central_differences(labels):
     assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(jac).max())
 
 
-# (seed, matching, the fixed-point iteration's gauge cost): complex pairs on
-# which Newton's step alone ends at a stationary point 0.06-0.33 higher.
-# Without the curvature check 408 and 416 still do, without the halving of
-# uphill steps 416 and 414
+# (seed, matching, the gauge cost that the fixed-point iteration Theta <-
+# Theta e^{-C} reached): complex pairs on which Newton's step alone ends at a
+# stationary point 0.06-0.33 higher.  Without the curvature guard 408 and 416
+# still do, without the halving of uphill steps 416 and 414
 FIXED_POINT_COSTS = [(408, (2, 0, 1), 2.439531417987566), (421, (2, 0, 1), 2.3798030467631412),
                      (401, (3, 1, 2, 0), 2.6215322008910698),
                      (416, (1, 2, 3, 0), 2.6083375638707875), (414, (3, 2, 0, 1), 2.806766020865105)]
@@ -750,11 +775,9 @@ def test_newton_guard_keeps_the_matching():
     assert abs(sol.cost_total - 4.63777571244872) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_gauge_search_converges_in_few_steps(monkeypatch, n):
-    # Newton's step converges quadratically; the fixed-point step Theta e^{-C}
-    # alone takes a median of 10 steps on such pairs.  A step is one
-    # eig_unitary of a trial gauge after the start's
+def count_gauge_steps(monkeypatch):
+    """The steps of each gauge search from here on, one list entry per
+    search: a step is one eig_unitary of a trial gauge after the start's."""
     steps = []
     search, eig = geo.minimal_rotation, geo.eig_unitary
 
@@ -768,9 +791,28 @@ def test_gauge_search_converges_in_few_steps(monkeypatch, n):
 
     monkeypatch.setattr(geo, "minimal_rotation", counting_search)
     monkeypatch.setattr(geo, "eig_unitary", counting_eig)
+    return steps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gauge_search_converges_in_few_steps(monkeypatch, n):
+    # Newton's step converges quadratically; the fixed-point iteration Theta
+    # <- Theta e^{-C} alone took a median of 10 steps on such pairs
+    steps = count_gauge_steps(monkeypatch)
     for seed in range(1, 6):
         solve_geodesic(*unit_trace_pair(np.random.default_rng(seed), n, "complex"), 0.1)
     assert max(steps) <= 6, steps
+
+
+def test_gauge_search_steps_downhill_at_non_positive_curvature(monkeypatch):
+    # conjugated, this pair's searches start where Jac + Jac^T is not
+    # positive definite.  The shifted Newton step converges there in 14
+    # steps; linear fixed-point steps -C took 187
+    rho0, rho1, V = degenerate_pair(509, 5)
+    steps = count_gauge_steps(monkeypatch)
+    sol = solve_geodesic(V @ rho0 @ V.conj().T, V @ rho1 @ V.conj().T, 10.0)
+    assert max(steps) <= 20, steps
+    assert abs(sol.cost_total - 5.224594769354785) <= 1e-9
 
 
 # --- metamorphic oracles on the optimal cost C(epsilon) ------------------------

@@ -119,6 +119,13 @@ class TestSynth:
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             solve_regularization([MatrixSample(t, RHO0) for t in times])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_state_rejected(self, entry):
+        rho0 = RHO0.copy()
+        rho0[0, 0] = entry
+        with pytest.raises(ValueError, match="rho0 has non-finite entries"):
+            synth_noisy_path(rho0, XTRUE, np.zeros(2), TIMES[:4])
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):

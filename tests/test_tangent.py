@@ -60,8 +60,12 @@ NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         (project_commutant, np.diag([1.0, 0.0]), np.eye(3), "dimension mismatch"),
         (project_commutant, np.diag([1.0, 0.0]), NON_HERMITIAN, "direction must be Hermitian"),
         (project_commutant, NON_HERMITIAN, np.diag([1.0, 0.0]), "base point must be Hermitian"),
+        (split_tangent, np.diag([np.inf, 0.0]), np.eye(2), "base point has non-finite entries"),
+        (split_tangent, np.eye(2), np.diag([0.0, np.nan]), "direction has non-finite entries"),
+        (split_tangent, np.zeros((0, 0)), np.zeros((0, 0)), "base point is not a square matrix"),
     ],
-    ids=["split dimension", "project dimension", "project direction", "project base point"],
+    ids=["split dimension", "project dimension", "project direction", "project base point",
+         "split inf", "split nan", "split 0x0"],
 )
 def test_bad_inputs_rejected(fn, rho, T, message):
     with pytest.raises(ValueError, match=message):
@@ -153,6 +157,15 @@ def test_rotation_flow_rejects_a_non_skew_generator(n):
     # within the 1e-9 that CLI documents are read with, X is accepted
     X[1, 0] = -1.0 + 5e-10
     rotation_flow(rho, X, 1.0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rotation_flow_rejects_a_non_finite_state(entry):
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = rho[1, 0] = entry
+    X = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="rho0 has non-finite entries"):
+        rotation_flow(rho, X, 0.5)
 
 
 def test_rotation_flow_quarter_turn():

@@ -315,6 +315,12 @@ class TestSolver:
         with pytest.raises(ValueError, match="epsilon"):
             solve_discrete_path(rho, rho, np.nan, steps=4)
 
+    def test_non_finite_endpoint_rejected(self):
+        # the geodesic that starts the descent checks both endpoints
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(ValueError, match="rho1 has non-finite entries"):
+            solve_discrete_path(rho, np.diag([np.inf, 0.5]), 1.0, steps=4)
+
     def test_trace_mismatch_rejected(self):
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         rho1 = np.diag([1.0, 0.5]).astype(complex)
